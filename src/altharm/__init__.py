@@ -41,14 +41,12 @@ from .primes import (
     sieve_range,
 )
 from .rationals import (
-    BigRational,
     NotPAdicIntegerError,
     alternating_exact,
     alternating_stream,
     format_fraction,
     harmonic_exact,
     harmonic_stream,
-    make_reduced,
     residue_of,
     tail_exact,
 )
@@ -56,7 +54,6 @@ from .rationals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "CSV_HEADER",
     "ConsistencyError",
     "DEFAULT_EXACT_THRESHOLD",
@@ -79,7 +76,6 @@ __all__ = [
     "harmonic_exact",
     "harmonic_stream",
     "is_prime",
-    "make_reduced",
     "mod_inverse",
     "odd_primes_iter",
     "pairing_defect",

@@ -38,7 +38,7 @@ EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Validation problem that should terminate with exit code 2."""
 
 
@@ -185,9 +185,18 @@ def cmd_exact(args: argparse.Namespace) -> int:
             f"n={args.n} exceeds the budget {args.budget}; raise --budget if you mean it"
         )
     value = alternating_exact(args.n)
-    print(format_fraction(value))
-    if args.digits is not None:
-        print(_decimal_string(value, args.digits))
+    # --budget bounds the output, so the interpreter's int/str digit limit (if
+    # it has one) is lifted while printing, then restored for in-process callers
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(format_fraction(value))
+        if args.digits is not None:
+            print(_decimal_string(value, args.digits))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
@@ -327,9 +336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"altharm: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"altharm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -251,8 +251,7 @@ def search_numerator_divisor(
     m = min(nmax, p - 1)
     invs = _inverse_range(1, m, p)
     s = 0
-    for i in range(m):
-        v = int(invs[i])
+    for i, v in enumerate(invs):
         s = (s + v) % p if i % 2 == 0 else (s - v) % p
         if s == 0:
             hits.append(i + 1)

@@ -1,15 +1,16 @@
 """Arithmetic in Z/pZ for odd primes p.
 
-Covers canonical residues, single and batch modular inversion, the fast
-tail-sum evaluation of the alternating harmonic sum A_n modulo p, and the
-pairing check that shows term-by-term why that sum cancels.  Everything is
-exact integer arithmetic; the numpy kernel is a fixed-width fast path that
-is bit-identical to the pure-Python one.
+Covers canonical residues, single and batch modular inversion, the tail-sum
+evaluation of the alternating harmonic sum A_n modulo p, and the pairing
+check that shows term-by-term why that sum cancels.  The tail sum is a
+pairwise fraction fold: adjacent (num, den) pairs are added level by level
+in numpy arrays, int64 while p <= _NUMPY_MAX_P and Python ints above that,
+and one inversion ends it.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
@@ -121,73 +122,38 @@ def _batch_inverse_ints(vals: Sequence[int], p: int) -> List[int]:
 
 # Largest modulus for which two residues multiply without overflowing int64.
 _NUMPY_MAX_P = 3_037_000_499
-_SCAN_BLOCK = 64
 
 
-def _prefix_products_np(v: np.ndarray, p: int):
-    """Inclusive prefix products of v mod p; returns (prefix, total product).
-
-    Blocked scan: sequential only along a 64-wide block axis, vectorized
-    across blocks, then stitched with per-block offsets.
-    """
-    m = v.size
-    blocks = -(-m // _SCAN_BLOCK)
-    a = np.ones(blocks * _SCAN_BLOCK, dtype=np.int64)
-    a[:m] = v
-    a = a.reshape(blocks, _SCAN_BLOCK)
-    for j in range(1, _SCAN_BLOCK):
-        a[:, j] = a[:, j] * a[:, j - 1] % p
-    offsets = np.ones(blocks, dtype=np.int64)
-    acc = 1
-    for i, t in enumerate(a[:, -1].tolist()):
-        offsets[i] = acc
-        acc = acc * t % p
-    a = a * offsets[:, None] % p
-    return a.reshape(-1)[:m], acc
-
-
-def _batch_inverse_array(v: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized batch inversion of nonzero residues; needs p <= _NUMPY_MAX_P."""
-    m = v.size
-    if m == 0:
-        return v.copy()
-    pre, total = _prefix_products_np(v, p)
-    suf, _ = _prefix_products_np(v[::-1], p)
-    suf = suf[::-1]
-    excl_pre = np.empty(m, dtype=np.int64)
-    excl_pre[0] = 1
-    excl_pre[1:] = pre[:-1]
-    excl_suf = np.empty(m, dtype=np.int64)
-    excl_suf[-1] = 1
-    excl_suf[:-1] = suf[1:]
-    tinv = pow(int(total), -1, p)
-    return excl_pre * excl_suf % p * tinv % p
-
-
-def _inverse_range(lo: int, hi: int, p: int) -> Union[np.ndarray, List[int]]:
+def _inverse_range(lo: int, hi: int, p: int) -> List[int]:
     """Inverses of lo..hi mod p; requires 0 < lo and hi < p."""
-    if p <= _NUMPY_MAX_P:
-        return _batch_inverse_array(np.arange(lo, hi + 1, dtype=np.int64), p)
-    return _batch_inverse_ints(list(range(lo, hi + 1)), p)
+    return _batch_inverse_ints(range(lo, hi + 1), p)
 
 
-def _sum_mod(invs, p: int) -> int:
-    if isinstance(invs, np.ndarray):
-        # chunks keep partial sums inside int64
-        chunk = max(1, (1 << 62) // p)
-        total = 0
-        for i in range(0, invs.size, chunk):
-            total = (total + int(invs[i : i + chunk].sum())) % p
-        return total
-    return sum(invs) % p
+def _tail_mod(lo: int, hi: int, p: int) -> int:
+    """Sum of 1/k mod p for k in lo..hi; requires 0 < lo <= hi < p.
+
+    The terms start as (num, den) = (1, k); each level adds adjacent pairs,
+    a/b + c/d = (ad + cb)/(bd) mod p, padding an odd-length level with 0/1.
+    int64 holds every product while p <= _NUMPY_MAX_P; above it, Python ints.
+    """
+    den = np.arange(lo, hi + 1, dtype=np.int64 if p <= _NUMPY_MAX_P else object)
+    num = np.ones_like(den)
+    while den.size > 1:
+        if den.size % 2:
+            num = np.append(num, 0)
+            den = np.append(den, 1)
+        a, b, c, d = num[0::2], den[0::2], num[1::2], den[1::2]
+        num = (a * d % p + c * b % p) % p
+        den = b * d % p
+    return int(num[0]) * pow(int(den[0]), -1, p) % p
 
 
 def alternating_mod(n: int, p: PrimeModulus) -> Residue:
     """Residue of the alternating harmonic sum A_n modulo p, for p > n.
 
-    Evaluates the tail form A_n = 1/(floor(n/2)+1) + ... + 1/n with one batch
-    inversion over the tail range; p > n makes every term a unit.  Refuses
-    p <= n, where 1/p has no meaning mod p.
+    Evaluates the tail form A_n = 1/(floor(n/2)+1) + ... + 1/n with one
+    pairwise fraction fold; p > n makes every term a unit.  Refuses p <= n,
+    where 1/p has no meaning mod p.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -195,8 +161,7 @@ def alternating_mod(n: int, p: PrimeModulus) -> Residue:
         raise ValueError(
             f"modulus inside summation range: p={p.p} <= n={n} (need p > n)"
         )
-    invs = _inverse_range(n // 2 + 1, n, p.p)
-    return Residue(_sum_mod(invs, p.p), p)
+    return Residue(_tail_mod(n // 2 + 1, n, p.p), p)
 
 
 def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> List[Residue]:
@@ -214,7 +179,7 @@ def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> List[Residue]:
     invs = _inverse_range(lo, n, p.p)
     q = p.p
     return [
-        Residue(int(invs[k] + invs[count - 1 - k]) % q, p)
+        Residue((invs[k] + invs[count - 1 - k]) % q, p)
         for k in range(count // 2)
     ]
 

@@ -19,31 +19,19 @@ from typing import Iterator, Tuple
 from .modfield import PrimeModulus, Residue
 
 __all__ = [
-    "BigRational",
     "NotPAdicIntegerError",
     "alternating_exact",
     "alternating_stream",
     "format_fraction",
     "harmonic_exact",
     "harmonic_stream",
-    "make_reduced",
     "residue_of",
     "tail_exact",
 ]
 
-BigRational = Fraction
-
 
 class NotPAdicIntegerError(ValueError):
     """Raised when mapping a/b into Z/pZ with p dividing b."""
-
-
-def make_reduced(num: int, den: int) -> Fraction:
-    """num/den in lowest terms with a positive denominator.
-
-    den = 0 raises ZeroDivisionError; (0, anything) normalizes to 0/1.
-    """
-    return Fraction(num, den)
 
 
 def _merge(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:

@@ -64,6 +64,11 @@ def primes_upto_trial(limit: int) -> list:
     return np.flatnonzero(trial_division_mask(limit)).tolist()
 
 
+def tail_sum_mod(lo: int, hi: int, p: int) -> int:
+    """Sum of 1/k mod p for k in lo..hi, one stdlib inverse per term."""
+    return sum(pow(k, -1, p) for k in range(lo, hi + 1)) % p
+
+
 def inverse_bruteforce(a: int, p: int) -> int:
     for x in range(1, p):
         if a * x % p == 1:

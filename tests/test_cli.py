@@ -7,6 +7,7 @@ import pytest
 
 from altharm import cli
 from altharm.engine import FormCase, WitnessRecord
+from altharm.rationals import alternating_exact
 
 
 def run_cli(*args, env_extra=None):
@@ -35,6 +36,42 @@ def test_exact_with_digits():
     assert r.stdout.splitlines() == ["7/12", "0.583333"]
     r = run_cli("exact", "1", "--digits", "3")
     assert r.stdout.splitlines() == ["1/1", "1.000"]
+
+
+def test_exact_past_the_int_str_digit_limit():
+    # the numerator of A_11000 has more digits than the interpreter's
+    # default int/str conversion limit of 4300
+    r = run_cli("exact", "11000")
+    assert r.returncode == 0, r.stderr
+    num, den = r.stdout.strip().split("/")
+    value = alternating_exact(11000)
+    assert len(num) > 4300
+    assert num[-30:] == str(value.numerator % 10**30).rjust(30, "0")
+    assert den[-30:] == str(value.denominator % 10**30).rjust(30, "0")
+    assert len(num) == _digit_count(value.numerator)
+    assert len(den) == _digit_count(value.denominator)
+
+
+def test_exact_many_digits_in_process_restores_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_limit()
+    assert cli.main(["exact", "7", "--digits", "5000"]) == 0
+    assert get_limit() == before
+    frac, dec = capsys.readouterr().out.splitlines()
+    assert frac == "319/420"
+    # 319/420 = 0.759523809523809...: "809523" repeats after "0.7595238"
+    assert dec.startswith("0.7595238095238")
+    assert len(dec) == 5002
+    q = (319 * 10**5000 + 210) // 420  # rounded to nearest
+    assert dec[-30:] == str(q % 10**30).rjust(30, "0")
+
+
+def _digit_count(x: int) -> int:
+    # decimal length without str(), which the digit limit would refuse
+    k = max(1, int(x.bit_length() * 0.30102999566398120) - 1)
+    while 10**k <= x:
+        k += 1
+    return k
 
 
 def test_exact_budget_exceeded():

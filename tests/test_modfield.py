@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 import oracles
@@ -9,9 +8,8 @@ from altharm.modfield import (
     NotUnitError,
     PrimeModulus,
     Residue,
-    _batch_inverse_array,
-    _batch_inverse_ints,
     _NUMPY_MAX_P,
+    _tail_mod,
     alternating_mod,
     batch_inverse,
     mod_inverse,
@@ -95,27 +93,43 @@ def test_batch_inverse_matches_single_inversions():
         assert batch_inverse([], pm) == []
 
 
+def _check_tail_against_oracle(primes, seed):
+    # odd, even and power-of-two level sizes exercise the 0/1 padding
+    rng = random.Random(seed)
+    nonzero = 0
+    for p in primes:
+        sizes = {1, 2, 3}
+        for k in (2, 6, 10):
+            sizes |= {2**k - 1, 2**k, 2**k + 1}
+        for size in sorted(s for s in sizes if s < p):
+            lo = rng.randrange(1, p - size + 1)
+            for a, b in ((lo, lo + size - 1), (p - size, p - 1)):
+                want = oracles.tail_sum_mod(a, b, p)
+                assert _tail_mod(a, b, p) == want, (a, b, p)
+                nonzero += want != 0
+    return nonzero
+
+
 def test_numpy_kernel_matches_pure_python():
-    rng = random.Random(5)
-    for p in (5, 97, 65537, 2**31 - 1, 3_037_000_493):
-        for size in (1, 2, 63, 64, 65, 1000):
-            ints = [rng.randrange(1, p) for _ in range(size)]
-            arr = _batch_inverse_array(np.array(ints, dtype=np.int64), p)
-            assert arr.tolist() == _batch_inverse_ints(ints, p)
+    # the int64 fold against the pure-Python sum of single inversions
+    primes = (5, 97, 65537, 2**31 - 1, 3_037_000_493)
+    assert all(p <= _NUMPY_MAX_P for p in primes)
+    assert _check_tail_against_oracle(primes, 5) > 40
 
 
 def test_kernel_paths_agree_across_the_width_boundary():
-    # same range inverted with the int64 kernel and the big-int fallback
+    # the int64 fold just below the width limit and the Python-int fold just
+    # above it both match the oracle, on the same tails and a fixed range
     below = 3_037_000_493  # largest prime <= _NUMPY_MAX_P
     above = 3_037_000_507  # smallest prime > _NUMPY_MAX_P
     assert is_prime(below) and below <= _NUMPY_MAX_P
     assert is_prime(above) and above > _NUMPY_MAX_P
-    ints = list(range(10**6, 10**6 + 500))
-    got_np = _batch_inverse_array(np.array(ints, dtype=np.int64), below)
-    assert got_np.tolist() == _batch_inverse_ints(ints, below)
+    assert _check_tail_against_oracle((below, above), 7) > 20
     for p in (below, above):
-        out = _batch_inverse_ints(ints, p)
-        assert all(v * o % p == 1 for v, o in zip(ints, out))
+        lo, hi = 10**6, 10**6 + 499
+        want = oracles.tail_sum_mod(lo, hi, p)
+        assert want != 0
+        assert _tail_mod(lo, hi, p) == want
 
 
 @pytest.mark.parametrize("n,p,want", [(7, 11, 0), (4, 7, 0), (2, 5, 3)])

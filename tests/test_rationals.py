@@ -13,24 +13,10 @@ from altharm.rationals import (
     format_fraction,
     harmonic_exact,
     harmonic_stream,
-    make_reduced,
     residue_of,
     tail_exact,
 )
 from altharm.modfield import PrimeModulus
-
-
-def test_make_reduced_normalizes():
-    assert make_reduced(0, 5) == Fraction(0, 1)
-    assert make_reduced(0, 5).denominator == 1
-    assert make_reduced(2, -4) == Fraction(-1, 2)
-    assert make_reduced(2, -4).denominator == 2
-    assert make_reduced(319, 420) == Fraction(319, 420)
-
-
-def test_make_reduced_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        make_reduced(1, 0)
 
 
 @pytest.mark.parametrize("n,want", [(0, "0/1"), (1, "1/1"), (2, "3/2"), (4, "25/12")])
