@@ -27,7 +27,7 @@ from .engine import (
 )
 from .modfield import PrimeModulus, pairing_defect
 from .primes import is_prime
-from .rationals import alternating_exact, format_fraction
+from .rationals import _int_str, alternating_exact, format_fraction
 
 DEFAULT_EXACT_BUDGET = 10**6
 
@@ -158,8 +158,8 @@ def _decimal_string(x: Fraction, digits: int) -> str:
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
     if digits == 0:
-        return f"{sign}{q}"
-    s = str(q).rjust(digits + 1, "0")
+        return f"{sign}{_int_str(q)}"
+    s = _int_str(q).rjust(digits + 1, "0")
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
@@ -184,19 +184,17 @@ def cmd_exact(args: argparse.Namespace) -> int:
         raise UsageError(
             f"n={args.n} exceeds the budget {args.budget}; raise --budget if you mean it"
         )
+    # int-to-decimal conversion is quadratic in the digit count, so --budget
+    # bounds the expansion too
+    if args.digits is not None and args.digits > args.budget:
+        raise UsageError(
+            f"--digits {args.digits} exceeds the budget {args.budget}; "
+            "raise --budget if you mean it"
+        )
     value = alternating_exact(args.n)
-    # --budget bounds the output, so the interpreter's int/str digit limit (if
-    # it has one) is lifted while printing, then restored for in-process callers
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        print(format_fraction(value))
-        if args.digits is not None:
-            print(_decimal_string(value, args.digits))
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    print(format_fraction(value))
+    if args.digits is not None:
+        print(_decimal_string(value, args.digits))
     return EXIT_OK
 
 

@@ -15,9 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from .modfield import FormCase, PrimeModulus, _inverse_range, alternating_mod
+from .modfield import FormCase, PrimeModulus, alternating_mod
 from .primes import is_prime, odd_primes_iter
-from .rationals import _merge, alternating_exact, residue_of
+from .rationals import alternating_exact, residue_of
+
+# Unused here; bench/spans.py patches both names on this module.
+from .modfield import _inverse_range  # noqa: F401
+from .rationals import _merge  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -61,16 +65,23 @@ def witness_index(p: int) -> Tuple[int, FormCase]:
     even case with p = (3n+2)/2.  For p in {2, 3} neither holds and a
     dedicated ProofInapplicableError is raised.
     """
+    witness = _witness(p)
+    if p < 2 or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return witness
+
+
+def _witness(p: int) -> Tuple[int, FormCase]:
+    # witness_index without the primality proof, for callers that prove it
+    # another way; for a non-prime p the result is meaningless
     if p in (2, 3):
         raise ProofInapplicableError(
             f"proof construction inapplicable for p={p}: 2p-1 = {2 * p - 1} "
             f"is {(2 * p - 1) % 3} mod 3"
         )
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if (2 * p - 1) % 3 == 0:
         return (2 * p - 1) // 3, FormCase.ODD
-    # 2p-1 = 2 mod 3 would force 3 | p, impossible here
+    # 2p-1 = 2 mod 3 would force 3 | p, impossible for a prime p >= 5
     return (2 * p - 2) // 3, FormCase.EVEN
 
 
@@ -137,13 +148,13 @@ def verify_prime(p: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Witn
     and any disagreement aborts with ConsistencyError.  ok=False is a
     counterexample report, never an exception.
     """
-    n, case = witness_index(p)
+    n, case = _witness(p)
+    pm = PrimeModulus(p)  # the one primality proof: a composite p raises here
     # these congruences are forced by the linkage; breaking one is a bug
     if case is FormCase.ODD and n % 4 != 3:
         raise ConsistencyError(f"odd witness n={n} for p={p} is not 3 mod 4")
     if case is FormCase.EVEN and n % 4 != 0:
         raise ConsistencyError(f"even witness n={n} for p={p} is not 0 mod 4")
-    pm = PrimeModulus(p)
     residue = alternating_mod(n, pm).value
     exact_checked = n <= exact_threshold
     if exact_checked:
@@ -235,10 +246,13 @@ def search_numerator_divisor(
 ) -> List[int]:
     """Every n <= nmax with p dividing the reduced numerator of A_n.
 
-    For n < p all denominators are units mod p, so an incremental modular
-    scan of the running sum suffices; from n = p on, 1/p has no residue and
-    the scan switches to the exact oracle with a divisibility test on the
-    reduced numerator.  Purely empirical: an empty result asserts nothing.
+    One integer scan modulo p^(L+1), L = floor(log_p nmax) (Boyd's p-adic
+    bookkeeping): each k = p^v * m with p not dividing m has v <= L, so
+    p^L * A_n is a p-adic integer, accumulated term by term as
+    (-1)^(k-1) * p^(L-v) * m^(-1).  p divides the numerator of A_n exactly
+    when v_p(p^L * A_n) >= L+1, i.e. when the running sum is 0 mod p^(L+1).
+    Below p this is the plain mod-p scan.  Purely empirical: an empty result
+    asserts nothing.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -247,20 +261,19 @@ def search_numerator_divisor(
     if nmax > budget:
         raise ValueError(f"nmax={nmax} exceeds the search budget {budget}")
 
+    top = 1  # p^L
+    while top * p <= nmax:
+        top *= p
+    mod = top * p
     hits: List[int] = []
-    m = min(nmax, p - 1)
-    invs = _inverse_range(1, m, p)
     s = 0
-    for i, v in enumerate(invs):
-        s = (s + v) % p if i % 2 == 0 else (s - v) % p
+    for k in range(1, nmax + 1):
+        m, scale = k, top
+        while m % p == 0:
+            m //= p
+            scale //= p
+        term = scale * pow(m, -1, mod)
+        s = (s + term) % mod if k % 2 else (s - term) % mod
         if s == 0:
-            hits.append(i + 1)
-
-    if nmax >= p:
-        a = alternating_exact(p - 1)
-        num, den = a.numerator, a.denominator
-        for k in range(p, nmax + 1):
-            num, den = _merge(num, den, 1 if k % 2 else -1, k)
-            if num % p == 0:
-                hits.append(k)
+            hits.append(k)
     return hits

@@ -12,6 +12,7 @@ left to right with plain Fraction arithmetic and exist as an independent
 cross-check path.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Tuple
@@ -139,6 +140,12 @@ def residue_of(x: Fraction, p: PrimeModulus) -> Residue:
     return Residue(x.numerator * pow(x.denominator, -1, q) % q, p)
 
 
+def _int_str(x: int) -> str:
+    # Same digits as str(x), but Decimal's conversion is not subject to the
+    # interpreter's int/str digit limit, which A_n passes near n = 10^4.
+    return str(Decimal(x))
+
+
 def format_fraction(x: Fraction) -> str:
     """Serialize as "numerator/denominator" in base 10, slash always present."""
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"

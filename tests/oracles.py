@@ -74,3 +74,14 @@ def inverse_bruteforce(a: int, p: int) -> int:
         if a * x % p == 1:
             return x
     raise AssertionError(f"{a} has no inverse mod {p}")
+
+
+def numerator_divisor_hits_bruteforce(p: int, nmax: int) -> list:
+    """Every n <= nmax with p dividing the reduced numerator of A_n."""
+    hits = []
+    total = Fraction(0)
+    for n in range(1, nmax + 1):
+        total += Fraction((-1) ** (n - 1), n)
+        if total.numerator % p == 0:
+            hits.append(n)
+    return hits

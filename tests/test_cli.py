@@ -80,6 +80,15 @@ def test_exact_budget_exceeded():
     assert "budget" in r.stderr
 
 
+def test_exact_digits_bounded_by_budget(capsys):
+    assert cli.main(["exact", "4", "--digits", "20", "--budget", "20"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["7/12", "0.58333333333333333333"]
+    assert cli.main(["exact", "4", "--digits", "21", "--budget", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "raise --budget if you mean it" in captured.err
+
+
 def test_witness_ok():
     r = run_cli("witness", "11")
     assert r.returncode == 0

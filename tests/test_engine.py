@@ -1,8 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 import oracles
+from altharm import engine, modfield
 from altharm.engine import (
     CSV_HEADER,
     FormCase,
@@ -91,6 +90,29 @@ def test_verify_prime_examples(p, n, case):
     )
 
 
+def test_verify_prime_rejects_2_3_and_composites():
+    for p in (2, 3):
+        with pytest.raises(ProofInapplicableError, match="inapplicable"):
+            verify_prime(p)
+    for p in (-7, 0, 1, 4, 9, 15, 25, 35, 561):
+        with pytest.raises(ValueError, match="prime"):
+            verify_prime(p)
+
+
+def test_verify_prime_proves_primality_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return oracles.trial_is_prime(x)
+
+    monkeypatch.setattr(engine, "is_prime", counting)
+    monkeypatch.setattr(modfield, "is_prime", counting)
+    for p in (5, 7, 11, 13, 1009):
+        verify_prime(p)
+    assert calls == [5, 7, 11, 13, 1009]
+
+
 def test_verify_prime_threshold_controls_exact_check():
     rec = verify_prime(11, exact_threshold=0)
     assert rec.exact_checked is False
@@ -170,28 +192,29 @@ def test_search_examples(p, nmax, want):
     assert search_numerator_divisor(p, nmax) == want
 
 
-def test_search_crosses_modulus_boundary():
-    # both scan phases against one brute-force pass
-    p, nmax = 11, 60
-    want = []
-    total = Fraction(0)
-    for n in range(1, nmax + 1):
-        total += Fraction((-1) ** (n - 1), n)
-        if total.numerator % p == 0:
-            want.append(n)
-    assert search_numerator_divisor(p, nmax) == want
+def _search_cases():
+    # nmax below p, just above p, around 1500-2000, then p^L - 1, p^L, p^L + 1
+    # where L = floor(log_p nmax) steps.  1093 is a base-2 Wieferich prime, so
+    # p - 1 is a hit and a scan whose L is one too small at nmax = p^L
+    # reports p as a hit too.
+    cases = [(101, 100), (11, 60), (3, 2000), (5, 1800), (7, 1500), (11, 2000), (13, 2000)]
+    for p, power in ((3, 729), (7, 343), (1093, 1093)):
+        cases += [(p, power - 1), (p, power), (p, power + 1)]
+    return cases
 
 
-def test_search_modular_and_exact_phases_agree_below_p():
-    p = 101
-    hits_modular = search_numerator_divisor(p, p - 1)
-    want = []
-    total = Fraction(0)
-    for n in range(1, p):
-        total += Fraction((-1) ** (n - 1), n)
-        if total.numerator % p == 0:
-            want.append(n)
-    assert hits_modular == want
+@pytest.mark.parametrize("p,nmax", _search_cases())
+def test_search_matches_bruteforce_oracle(p, nmax):
+    assert search_numerator_divisor(p, nmax) == oracles.numerator_divisor_hits_bruteforce(p, nmax)
+
+
+def test_search_finds_hits_above_p_squared():
+    # guards the oracle comparison against a scan that reports nothing and
+    # against mishandled terms with v_p(k) >= 2
+    assert search_numerator_divisor(7, 1500) == [4, 30, 34, 210, 214, 241, 1499]
+    assert search_numerator_divisor(13, 2000) == [
+        8, 107, 110, 113, 1392, 1396, 1472, 1475, 1478,
+    ]
 
 
 def test_search_validation():

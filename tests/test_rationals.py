@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -142,3 +143,21 @@ def test_format_fraction():
     assert format_fraction(Fraction(-1, 2)) == "-1/2"
     assert format_fraction(Fraction(0)) == "0/1"
     assert format_fraction(Fraction(3)) == "3/1"
+
+
+def test_format_fraction_past_the_int_str_digit_limit():
+    # A_11000's numerator has more digits than the default limit of 4300
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    value = alternating_exact(11000)
+    text = format_fraction(value)
+    if get_limit:
+        assert get_limit() == before
+        sys.set_int_max_str_digits(0)
+    try:
+        want = f"{value.numerator}/{value.denominator}"
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(before)
+    assert len(want) > 4300
+    assert text == want
