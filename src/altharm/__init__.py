@@ -43,10 +43,8 @@ from .primes import (
 from .rationals import (
     NotPAdicIntegerError,
     alternating_exact,
-    alternating_stream,
     format_fraction,
     harmonic_exact,
-    harmonic_stream,
     residue_of,
     tail_exact,
 )
@@ -69,12 +67,10 @@ __all__ = [
     "WitnessRecord",
     "alternating_exact",
     "alternating_mod",
-    "alternating_stream",
     "batch_inverse",
     "classify_index",
     "format_fraction",
     "harmonic_exact",
-    "harmonic_stream",
     "is_prime",
     "mod_inverse",
     "odd_primes_iter",

@@ -16,8 +16,8 @@ from .engine import (
     CSV_HEADER,
     DEFAULT_EXACT_THRESHOLD,
     DEFAULT_SEARCH_BUDGET,
-    ProofInapplicableError,
     WitnessRecord,
+    check_range,
     record_to_csv,
     record_to_json,
     search_numerator_divisor,
@@ -26,7 +26,6 @@ from .engine import (
     witness_index,
 )
 from .modfield import PrimeModulus, pairing_defect
-from .primes import is_prime
 from .rationals import _int_str, alternating_exact, format_fraction
 
 DEFAULT_EXACT_BUDGET = 10**6
@@ -150,8 +149,6 @@ def _resolve_jobs(flag_value: Optional[int]) -> int:
 
 def _decimal_string(x: Fraction, digits: int) -> str:
     """Decimal expansion with exactly `digits` fractional digits, round half to even."""
-    if digits < 0:
-        raise UsageError(f"--digits must be nonnegative, got {digits}")
     num, den = x.numerator, x.denominator
     sign = "-" if num < 0 else ""
     q, r = divmod(abs(num) * 10**digits, den)
@@ -178,8 +175,6 @@ def _record_line(rec: WitnessRecord, fmt: str) -> str:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise UsageError(f"n must be nonnegative, got {args.n}")
     if args.n > args.budget:
         raise UsageError(
             f"n={args.n} exceeds the budget {args.budget}; raise --budget if you mean it"
@@ -191,6 +186,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
             f"--digits {args.digits} exceeds the budget {args.budget}; "
             "raise --budget if you mean it"
         )
+    if args.digits is not None and args.digits < 0:
+        raise UsageError(f"--digits must be nonnegative, got {args.digits}")
     value = alternating_exact(args.n)
     print(format_fraction(value))
     if args.digits is not None:
@@ -199,13 +196,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    p = args.p
-    if p < 2 or not is_prime(p):
-        raise UsageError(f"{p} is not prime")
-    try:
-        rec = verify_prime(p)
-    except ProofInapplicableError as exc:
-        raise UsageError(str(exc))
+    rec = verify_prime(args.p)
     fmt = _resolve_format(args.format, sys.stdout)
     if fmt == "csv":
         print(CSV_HEADER)
@@ -214,8 +205,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.pmin > args.pmax:
-        raise UsageError(f"--pmin {args.pmin} > --pmax {args.pmax}")
+    check_range(args.pmin, args.pmax)  # before --out is created
     jobs = _resolve_jobs(args.jobs)
 
     out = sys.stdout
@@ -268,14 +258,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     p = args.p
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise UsageError(f"p must be an odd prime, got {p}")
-    if args.nmax < 1:
-        raise UsageError(f"--nmax must be positive, got {args.nmax}")
-    if args.nmax > args.budget:
-        raise UsageError(
-            f"--nmax {args.nmax} exceeds the budget {args.budget}; raise --budget"
-        )
     hits = search_numerator_divisor(p, args.nmax, budget=args.budget)
     fmt = _resolve_format(args.format, sys.stdout)
     if fmt == "jsonl":
@@ -299,12 +281,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_pair_check(args: argparse.Namespace) -> int:
     p = args.p
-    if p < 2 or not is_prime(p):
-        raise UsageError(f"{p} is not prime")
-    try:
-        n, case = witness_index(p)
-    except ProofInapplicableError as exc:
-        raise UsageError(str(exc))
+    n, case = witness_index(p)
     defects = pairing_defect(n, PrimeModulus(p), case)
     lo, hi = n // 2 + 1, n
     fmt = _resolve_format(args.format, sys.stdout)

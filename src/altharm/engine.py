@@ -15,31 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from .modfield import FormCase, PrimeModulus, alternating_mod
+from .modfield import FormCase, PrimeModulus, alternating_mod, linked_prime
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, residue_of
 
 # Unused here; bench/spans.py patches both names on this module.
 from .modfield import _inverse_range  # noqa: F401
 from .rationals import _merge  # noqa: F401
-
-__all__ = [
-    "CSV_HEADER",
-    "ConsistencyError",
-    "DEFAULT_EXACT_THRESHOLD",
-    "DEFAULT_SEARCH_BUDGET",
-    "FormCase",
-    "ProofInapplicableError",
-    "RangeSummary",
-    "WitnessRecord",
-    "classify_index",
-    "record_to_csv",
-    "record_to_json",
-    "search_numerator_divisor",
-    "verify_prime",
-    "verify_range",
-    "witness_index",
-]
 
 # Exact cross-checks cover every witness index up to here by default, i.e.
 # all p <= 3001, without dominating the runtime of large range runs.
@@ -66,8 +48,7 @@ def witness_index(p: int) -> Tuple[int, FormCase]:
     dedicated ProofInapplicableError is raised.
     """
     witness = _witness(p)
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    PrimeModulus(p)  # rejects a composite p
     return witness
 
 
@@ -86,18 +67,8 @@ def _witness(p: int) -> Tuple[int, FormCase]:
 
 
 def classify_index(n: int) -> Optional[Tuple[int, FormCase]]:
-    """Candidate prime for index n, or None.
-
-    Odd n proposes p = (3n+1)/2, even n proposes p = (3n+2)/2; the pair is
-    returned only when the candidate is a prime >= 5, and then
-    witness_index(p) round-trips back to (n, case).
-    """
-    if n < 1:
-        return None
-    if n % 2:
-        cand, case = (3 * n + 1) // 2, FormCase.ODD
-    else:
-        cand, case = (3 * n + 2) // 2, FormCase.EVEN
+    """linked_prime(n) if its p is a prime >= 5, else None; witness_index inverts it."""
+    cand, case = linked_prime(n)
     if cand < 5 or not is_prime(cand):
         return None
     return cand, case
@@ -181,6 +152,15 @@ class RangeSummary:
     elapsed: float = 0.0
 
 
+def check_range(pmin: int, pmax: int) -> None:
+    """Reject a range verify_range cannot run: pmin > pmax, or pmax >= 2^64,
+    past the range is_prime covers."""
+    if pmin > pmax:
+        raise ValueError(f"empty range: pmin={pmin} > pmax={pmax}")
+    if pmax >= 1 << 64:
+        raise ValueError(f"pmax={pmax} is not below 2^64, the limit of is_prime")
+
+
 def _verify_shard(args: Tuple[int, int, int]) -> Tuple[List[WitnessRecord], float]:
     lo, hi, exact_threshold = args
     t0 = time.perf_counter()
@@ -205,8 +185,7 @@ def verify_range(
     A failing record (ok=False) is counted, not raised.  progress, if given,
     is called per completed shard with (lo, hi, record_count, seconds).
     """
-    if pmin > pmax:
-        raise ValueError(f"pmin={pmin} > pmax={pmax}")
+    check_range(pmin, pmax)
     start = time.perf_counter()
     summary = RangeSummary(pmin=pmin, pmax=pmax)
     if pmin <= 3 <= pmax:
@@ -254,8 +233,7 @@ def search_numerator_divisor(
     Below p this is the plain mod-p scan.  Purely empirical: an empty result
     asserts nothing.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    PrimeModulus(p)  # rejects p that is not an odd prime
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
     if nmax > budget:

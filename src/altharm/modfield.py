@@ -10,22 +10,11 @@ and one inversion ends it.
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .primes import is_prime
-
-__all__ = [
-    "FormCase",
-    "NotUnitError",
-    "PrimeModulus",
-    "Residue",
-    "alternating_mod",
-    "batch_inverse",
-    "mod_inverse",
-    "pairing_defect",
-]
 
 
 class NotUnitError(ValueError):
@@ -34,7 +23,7 @@ class NotUnitError(ValueError):
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """An odd prime modulus in the 64-bit range (primality checked on construction)."""
+    """An odd prime below 2^64; constructing one is the package's odd-prime check."""
 
     p: int
 
@@ -42,7 +31,7 @@ class PrimeModulus:
         if self.p < 3:
             raise ValueError(f"modulus must be an odd prime >= 3, got {self.p}")
         if not is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+            raise ValueError(f"{self.p} is not prime")
 
     def residue(self, value: int) -> "Residue":
         """Canonical representative of value mod p."""
@@ -75,6 +64,14 @@ class FormCase(enum.Enum):
 
     ODD = "odd"
     EVEN = "even"
+
+
+def linked_prime(n: int) -> Tuple[int, FormCase]:
+    """The (p, case) the construction links to index n, p not necessarily prime:
+    p = (3n+1)/2 for odd n (ODD), p = (3n+2)/2 for even n (EVEN)."""
+    if n % 2:
+        return (3 * n + 1) // 2, FormCase.ODD
+    return (3 * n + 2) // 2, FormCase.EVEN
 
 
 def mod_inverse(a: Residue) -> Residue:
@@ -185,15 +182,8 @@ def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> List[Residue]:
 
 
 def _check_case_linkage(n: int, p: int, case: FormCase) -> None:
-    if case is FormCase.ODD:
-        if n < 1 or n % 2 == 0 or 3 * n + 1 != 2 * p:
-            raise ValueError(
-                f"odd case needs odd n with p=(3n+1)/2; got n={n}, p={p}"
-            )
-    elif case is FormCase.EVEN:
-        if n < 1 or n % 2 == 1 or 3 * n + 2 != 2 * p:
-            raise ValueError(
-                f"even case needs even n with p=(3n+2)/2; got n={n}, p={p}"
-            )
-    else:
-        raise ValueError(f"unknown case {case!r}")
+    if n < 1 or linked_prime(n) != (p, case):
+        raise ValueError(
+            f"n={n}, p={p}, case {case} is not a linked pair: need n >= 1 and "
+            "p=(3n+1)/2 with odd n (odd case) or p=(3n+2)/2 with even n (even case)"
+        )

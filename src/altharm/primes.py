@@ -6,14 +6,6 @@ from typing import Iterator, List
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_SEGMENT_BUDGET",
-    "PrimeRange",
-    "is_prime",
-    "odd_primes_iter",
-    "sieve_range",
-]
-
 # Candidates per sieve segment; keeps the working bitmap cache-resident.
 DEFAULT_SEGMENT_BUDGET = 1 << 20
 

@@ -5,30 +5,18 @@ reduced-form invariants this package relies on: gcd(|num|, den) = 1,
 den >= 1, sign on the numerator, zero as 0/1.  The summation routines here
 are the slow, trusted oracle for everything the modular fast paths claim.
 
-Two summation orders are provided on purpose.  The default is
-divide-and-conquer (binary splitting), which keeps intermediate operands
-near their reduced size; harmonic_stream/alternating_stream accumulate
-left to right with plain Fraction arithmetic and exist as an independent
-cross-check path.
+Every sum is formed by divide and conquer (binary splitting), which keeps
+intermediate operands near their reduced size.  Left-to-right Fraction
+accumulation, the independent order these sums are checked against, lives
+in the test oracles.
 """
 
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from .modfield import PrimeModulus, Residue
-
-__all__ = [
-    "NotPAdicIntegerError",
-    "alternating_exact",
-    "alternating_stream",
-    "format_fraction",
-    "harmonic_exact",
-    "harmonic_stream",
-    "residue_of",
-    "tail_exact",
-]
 
 
 class NotPAdicIntegerError(ValueError):
@@ -105,26 +93,6 @@ def tail_exact(lo: int, hi: int) -> Fraction:
     if lo > hi:
         raise ValueError(f"empty tail: lo={lo} > hi={hi}")
     return Fraction(*_harmonic_pair(lo, hi))
-
-
-def harmonic_stream(nmax: int) -> Iterator[Fraction]:
-    """Yield H_1, H_2, ..., H_nmax by left-to-right accumulation.
-
-    Plain Fraction arithmetic only; kept independent of the
-    divide-and-conquer path so the two can cross-check each other.
-    """
-    total = Fraction(0)
-    for k in range(1, nmax + 1):
-        total += Fraction(1, k)
-        yield total
-
-
-def alternating_stream(nmax: int) -> Iterator[Fraction]:
-    """Yield A_1, A_2, ..., A_nmax by left-to-right accumulation."""
-    total = Fraction(0)
-    for k in range(1, nmax + 1):
-        total += Fraction(1, k) if k % 2 else Fraction(-1, k)
-        yield total
 
 
 def residue_of(x: Fraction, p: PrimeModulus) -> Residue:

@@ -24,6 +24,22 @@ def alternating_bruteforce(n: int) -> Fraction:
     return total
 
 
+def harmonic_stream(nmax: int):
+    """Yield H_1, ..., H_nmax by left-to-right Fraction accumulation."""
+    total = Fraction(0)
+    for k in range(1, nmax + 1):
+        total += Fraction(1, k)
+        yield total
+
+
+def alternating_stream(nmax: int):
+    """Yield A_1, ..., A_nmax by left-to-right Fraction accumulation."""
+    total = Fraction(0)
+    for k in range(1, nmax + 1):
+        total += Fraction(1, k) if k % 2 else Fraction(-1, k)
+        yield total
+
+
 def range_sum_bruteforce(lo: int, hi: int) -> Fraction:
     total = Fraction(0)
     for k in range(lo, hi + 1):

@@ -184,6 +184,34 @@ def test_verify_inverted_range():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args,rule",
+    [
+        (["exact", "7", "--digits", "-1"], "--digits must be nonnegative"),
+        (["exact", "-1"], "n must be nonnegative"),
+        (["search", "9", "--nmax", "10"], "9 is not prime"),
+        (["search", "5", "--nmax", "0"], "nmax must be positive"),
+        (["witness", "9"], "9 is not prime"),
+        (["witness", "3"], "inapplicable"),
+        (["pair-check", "2"], "inapplicable"),
+        (["verify", "--pmin", "10", "--pmax", "5", "--format", "csv", "--out", "{out}"],
+         "pmin=10 > pmax=5"),
+        # past is_prime's 64-bit range: refused before any sieving
+        (["verify", "--pmin", str(2**64 + 1), "--pmax", str(2**64 + 84), "--format", "csv"],
+         "2^64"),
+    ],
+    ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
+         "witness-3", "pair-check-2", "verify-inverted", "verify-past-2^64"],
+)
+def test_invalid_input_writes_nothing(tmp_path, args, rule):
+    out = tmp_path / "records.csv"
+    r = run_cli(*(a.format(out=out) for a in args))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert rule in r.stderr
+    assert not out.exists()
+
+
 def test_verify_out_append_and_resume(tmp_path):
     out = tmp_path / "records.jsonl"
     whole = tmp_path / "whole.jsonl"

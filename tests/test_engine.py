@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+import altharm
 from altharm import engine, modfield
 from altharm.engine import (
     CSV_HEADER,
@@ -183,6 +184,9 @@ def test_verify_range_progress_callback():
 def test_verify_range_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         verify_range(10, 5)
+    # past is_prime's 64-bit range; rejected before any sieving
+    with pytest.raises(ValueError, match="2\\^64"):
+        verify_range(5, 2**64)
 
 
 @pytest.mark.parametrize(
@@ -226,3 +230,7 @@ def test_search_validation():
         search_numerator_divisor(5, 0)
     with pytest.raises(ValueError, match="budget"):
         search_numerator_divisor(5, 1001, budget=1000)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in altharm.__all__ if not hasattr(altharm, name)] == []

@@ -9,12 +9,14 @@ from altharm.modfield import (
     PrimeModulus,
     Residue,
     _NUMPY_MAX_P,
+    _check_case_linkage,
     _tail_mod,
     alternating_mod,
     batch_inverse,
     mod_inverse,
     pairing_defect,
 )
+from altharm.engine import classify_index
 from altharm.rationals import alternating_exact, residue_of
 from altharm.primes import is_prime
 
@@ -169,6 +171,40 @@ def test_pairing_defect_rejects_mismatches():
         pairing_defect(5, PrimeModulus(11), FormCase.ODD)
     with pytest.raises(ValueError):
         pairing_defect(4, PrimeModulus(11), FormCase.EVEN)
+    with pytest.raises(ValueError):
+        pairing_defect(8, PrimeModulus(13), FormCase.ODD)
+    # the linkage itself, where p need not be a valid modulus; n = 0 with
+    # p = 1 would pass the map (3n+2)/2 without the n >= 1 rule
+    for n, p, case in [
+        (0, 1, FormCase.EVEN),
+        (7, 11, FormCase.EVEN),  # odd n under EVEN
+        (8, 13, FormCase.ODD),  # even n under ODD
+        (7, 10, FormCase.ODD), (7, 12, FormCase.ODD),
+        (8, 12, FormCase.EVEN), (8, 14, FormCase.EVEN),
+    ]:
+        with pytest.raises(ValueError, match="not a linked pair"):
+            _check_case_linkage(n, p, case)
+    _check_case_linkage(7, 11, FormCase.ODD)
+    _check_case_linkage(8, 13, FormCase.EVEN)
+
+
+def test_classify_index_agrees_with_case_linkage():
+    for n in range(-2, 2001):
+        linked = []
+        for p in range(3 * n // 2 - 2, 3 * n // 2 + 4):
+            for case in FormCase:
+                try:
+                    _check_case_linkage(n, p, case)
+                except ValueError:
+                    continue
+                linked.append((p, case))
+        # exactly one linked (p, case) per positive index, none otherwise
+        assert len(linked) == (1 if n >= 1 else 0), (n, linked)
+        hit = classify_index(n)
+        if linked and linked[0][0] >= 5 and oracles.trial_is_prime(linked[0][0]):
+            assert hit == linked[0]
+        else:
+            assert hit is None
 
 
 def test_pairing_defect_pairs_sum_to_modulus():
