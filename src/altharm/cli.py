@@ -9,24 +9,24 @@ records; progress and summaries go to stderr.
 import argparse
 import os
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence, TextIO
+from contextlib import nullcontext
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .engine import (
-    CSV_HEADER,
     DEFAULT_EXACT_THRESHOLD,
     DEFAULT_SEARCH_BUDGET,
-    WitnessRecord,
+    RECORD_FIELDS,
     check_range,
-    record_to_csv,
-    record_to_json,
+    record_row,
+    row_to_csv,
+    row_to_json,
     search_numerator_divisor,
     verify_prime,
     verify_range,
     witness_index,
 )
 from .modfield import PrimeModulus, pairing_defect
-from .rationals import _int_str, alternating_exact, format_fraction
+from .rationals import alternating_exact, format_decimal, format_fraction
 
 DEFAULT_EXACT_BUDGET = 10**6
 
@@ -35,10 +35,6 @@ JOBS_ENV_VAR = "ALTHARM_JOBS"
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
-
-
-class UsageError(ValueError):
-    """Validation problem that should terminate with exit code 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,93 +129,92 @@ def _resolve_jobs(flag_value: Optional[int]) -> int:
     # the flag wins over the environment, which wins over the CPU count
     if flag_value is not None:
         if flag_value < 1:
-            raise UsageError(f"--jobs must be positive, got {flag_value}")
+            raise ValueError(f"--jobs must be positive, got {flag_value}")
         return flag_value
     env = os.environ.get(JOBS_ENV_VAR)
     if env:
         try:
             jobs = int(env)
         except ValueError:
-            raise UsageError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}")
+            raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}")
         if jobs < 1:
-            raise UsageError(f"{JOBS_ENV_VAR} must be positive, got {jobs}")
+            raise ValueError(f"{JOBS_ENV_VAR} must be positive, got {jobs}")
         return jobs
     return os.cpu_count() or 1
 
 
-def _decimal_string(x: Fraction, digits: int) -> str:
-    """Decimal expansion with exactly `digits` fractional digits, round half to even."""
-    num, den = x.numerator, x.denominator
-    sign = "-" if num < 0 else ""
-    q, r = divmod(abs(num) * 10**digits, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
-    if digits == 0:
-        return f"{sign}{_int_str(q)}"
-    s = _int_str(q).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
-
-
-def _record_line(rec: WitnessRecord, fmt: str) -> str:
+def _row_writer(
+    out: TextIO, chosen: Optional[str], fields: Sequence[str],
+    human: Callable[..., str], header: bool = True,
+) -> Callable[[Iterable[Sequence]], None]:
+    """The one jsonl/csv/human switch: write the csv header (if header) and
+    return a function writing rows to out, one line each; human(*row) is a
+    row's text."""
+    fmt = _resolve_format(chosen, out)
     if fmt == "jsonl":
-        return record_to_json(rec)
+        return lambda rows: out.writelines(row_to_json(fields, r) + "\n" for r in rows)
     if fmt == "csv":
-        return record_to_csv(rec)
+        if header:
+            out.write(row_to_csv(fields) + "\n")
+        return lambda rows: out.writelines(row_to_csv(r) + "\n" for r in rows)
+    return lambda rows: out.writelines(human(*r) + "\n" for r in rows)
+
+
+def _record_human(p, n, case, residue, exact_checked, ok) -> str:
     # name the theorem instance before the verdict
-    check = "exact+modular" if rec.exact_checked else "modular"
-    verdict = "ok" if rec.ok else "FAIL"
-    return (
-        f"p={rec.p} n={rec.n} case={rec.case.value}: "
-        f"A_n residue {rec.residue} ({check}) -> {verdict}"
-    )
+    check = "exact+modular" if exact_checked else "modular"
+    verdict = "ok" if ok else "FAIL"
+    return f"p={p} n={n} case={case}: A_n residue {residue} ({check}) -> {verdict}"
+
+
+def _check_last_line(path: str, size: int) -> None:
+    # appending after a cut-off final line would glue the next record onto it
+    with open(path, "rb") as f:
+        f.seek(max(0, size - 256))
+        partial = f.read().split(b"\n")[-1].decode("ascii", "replace")
+    if partial:
+        raise ValueError(
+            f"--out {path!r} ends in a partial line {partial!r}; "
+            "remove it or choose another file"
+        )
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
     if args.n > args.budget:
-        raise UsageError(
+        raise ValueError(
             f"n={args.n} exceeds the budget {args.budget}; raise --budget if you mean it"
         )
     # int-to-decimal conversion is quadratic in the digit count, so --budget
     # bounds the expansion too
     if args.digits is not None and args.digits > args.budget:
-        raise UsageError(
+        raise ValueError(
             f"--digits {args.digits} exceeds the budget {args.budget}; "
             "raise --budget if you mean it"
         )
     if args.digits is not None and args.digits < 0:
-        raise UsageError(f"--digits must be nonnegative, got {args.digits}")
+        raise ValueError(f"--digits must be nonnegative, got {args.digits}")
     value = alternating_exact(args.n)
     print(format_fraction(value))
     if args.digits is not None:
-        print(_decimal_string(value, args.digits))
+        print(format_decimal(value, args.digits))
     return EXIT_OK
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
     rec = verify_prime(args.p)
-    fmt = _resolve_format(args.format, sys.stdout)
-    if fmt == "csv":
-        print(CSV_HEADER)
-    print(_record_line(rec, fmt))
+    _row_writer(sys.stdout, args.format, RECORD_FIELDS, _record_human)([record_row(rec)])
     return EXIT_OK if rec.ok else EXIT_FAILED_CHECK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     check_range(args.pmin, args.pmax)  # before --out is created
     jobs = _resolve_jobs(args.jobs)
-
-    out = sys.stdout
-    close_out = False
+    target = nullcontext(sys.stdout)
     if args.out is not None:
         try:
-            out = open(args.out, "a", encoding="ascii")
+            target = open(args.out, "a", encoding="ascii")
         except OSError as exc:
-            raise UsageError(f"cannot open --out {args.out!r}: {exc}")
-        close_out = True
-    fmt = _resolve_format(args.format, out)
-
-    def sink(rec: WitnessRecord) -> None:
-        out.write(_record_line(rec, fmt) + "\n")
+            raise ValueError(f"cannot open --out {args.out!r}: {exc}")
 
     def progress(lo: int, hi: int, count: int, seconds: float) -> None:
         rate = count / seconds if seconds > 0 else float("inf")
@@ -228,21 +223,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    try:
+    with target as out:
         # a csv header only at the start of the stream, so appended reruns concatenate
-        if fmt == "csv" and (not close_out or out.tell() == 0):
-            out.write(CSV_HEADER + "\n")
+        size = 0 if out is sys.stdout else out.tell()
+        if size:
+            _check_last_line(args.out, size)
+        write = _row_writer(out, args.format, RECORD_FIELDS, _record_human, not size)
         summary = verify_range(
             args.pmin,
             args.pmax,
             jobs=jobs,
             exact_threshold=args.exact_threshold,
-            record_sink=sink,
+            record_sink=lambda rec: write([record_row(rec)]),
             progress=None if args.quiet else progress,
         )
-    finally:
-        if close_out:
-            out.close()
 
     skipped = (
         "; ".join(f"p={p} ({reason})" for p, reason in summary.skipped) or "none"
@@ -260,44 +254,26 @@ def cmd_search(args: argparse.Namespace) -> int:
     p = args.p
     hits = search_numerator_divisor(p, args.nmax, budget=args.budget)
     fmt = _resolve_format(args.format, sys.stdout)
-    if fmt == "jsonl":
-        for n in hits:
-            print(f'{{"p":{p},"n":{n}}}')
-    elif fmt == "csv":
-        print("p,n")
-        for n in hits:
-            print(f"{p},{n}")
-    else:
-        if hits:
-            for n in hits:
-                print(n)
-        else:
-            print(f"no n <= {args.nmax} with {p} | numerator(A_n)")
+    if fmt == "human" and not hits:
+        print(f"no n <= {args.nmax} with {p} | numerator(A_n)")
+    _row_writer(sys.stdout, fmt, ("p", "n"), lambda _p, n: str(n))((p, n) for n in hits)
     print(
         f"search p={p} nmax={args.nmax}: {len(hits)} hit(s)", file=sys.stderr
     )
     return EXIT_OK
 
 
+def _pair_human(p, k, a, b, residue) -> str:
+    return f"pair ({a},{b}): {a}+{b}={a + b}, inv({a})+inv({b}) = {residue} (mod {p})"
+
+
 def cmd_pair_check(args: argparse.Namespace) -> int:
     p = args.p
     n, case = witness_index(p)
     defects = pairing_defect(n, PrimeModulus(p), case)
-    lo, hi = n // 2 + 1, n
-    fmt = _resolve_format(args.format, sys.stdout)
-    if fmt == "csv":
-        print("p,k,a,b,residue")
-    all_zero = True
-    for k, res in enumerate(defects, start=1):
-        a, b = lo + k - 1, hi - k + 1
-        if res.value != 0:
-            all_zero = False
-        if fmt == "jsonl":
-            print(f'{{"p":{p},"k":{k},"a":{a},"b":{b},"residue":{res.value}}}')
-        elif fmt == "csv":
-            print(f"{p},{k},{a},{b},{res.value}")
-        else:
-            print(f"pair ({a},{b}): {a}+{b}={a + b}, inv({a})+inv({b}) = {res.value} (mod {p})")
+    rows = [(p, k, n // 2 + k, n + 1 - k, r.value) for k, r in enumerate(defects, 1)]
+    _row_writer(sys.stdout, args.format, ("p", "k", "a", "b", "residue"), _pair_human)(rows)
+    all_zero = all(r.value == 0 for r in defects)
     print(
         f"pair-check p={p} n={n} case={case.value}: {len(defects)} pairs, "
         f"{'all cancel' if all_zero else 'NONZERO DEFECT'}",

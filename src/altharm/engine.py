@@ -10,10 +10,12 @@ probe instead of a claim.
 """
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .modfield import FormCase, PrimeModulus, alternating_mod, linked_prime
 from .primes import is_prime, odd_primes_iter
@@ -86,29 +88,34 @@ class WitnessRecord:
     ok: bool
 
 
-CSV_HEADER = "p,n,case,residue,exact_checked,ok"
+RECORD_FIELDS = ("p", "n", "case", "residue", "exact_checked", "ok")
+_JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per row
+
+
+def record_row(rec: WitnessRecord) -> tuple:
+    """The record's values in RECORD_FIELDS order, the case as its lowercase tag."""
+    return rec.p, rec.n, rec.case.value, rec.residue, rec.exact_checked, rec.ok
+
+
+def row_to_json(fields: Sequence[str], row: Sequence) -> str:
+    """One-line JSON object mapping fields to row values, in field order."""
+    return _JSON.encode(dict(zip(fields, row)))
+
+
+def row_to_csv(row: Sequence) -> str:
+    """One CSV line, booleans lowercase as in JSON; values need no quoting."""
+    return ",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+
+
+CSV_HEADER = row_to_csv(RECORD_FIELDS)
 
 
 def record_to_json(rec: WitnessRecord) -> str:
-    """One-line JSON with fixed field order and lowercase case tags."""
-    return json.dumps(
-        {
-            "p": rec.p,
-            "n": rec.n,
-            "case": rec.case.value,
-            "residue": rec.residue,
-            "exact_checked": rec.exact_checked,
-            "ok": rec.ok,
-        },
-        separators=(",", ":"),
-    )
+    return row_to_json(RECORD_FIELDS, record_row(rec))
 
 
 def record_to_csv(rec: WitnessRecord) -> str:
-    return (
-        f"{rec.p},{rec.n},{rec.case.value},{rec.residue},"
-        f"{str(rec.exact_checked).lower()},{str(rec.ok).lower()}"
-    )
+    return row_to_csv(record_row(rec))
 
 
 def verify_prime(p: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> WitnessRecord:
@@ -180,10 +187,11 @@ def verify_range(
     """Verify every odd prime p >= 5 in [pmin, pmax].
 
     Records stream to record_sink in ascending p, independent of jobs: the
-    range is cut into fixed shards, worked in parallel for jobs > 1, and
-    merged back in order.  p = 3 inside the range is recorded as skipped.
-    A failing record (ok=False) is counted, not raised.  progress, if given,
-    is called per completed shard with (lo, hi, record_count, seconds).
+    range is cut into fixed shards, worked by up to jobs processes (at most
+    one per CPU), and merged back in order.  p = 3 inside the range is
+    recorded as skipped.  A failing record (ok=False) is counted, not
+    raised.  progress, if given, is called per completed shard with
+    (lo, hi, record_count, seconds).
     """
     check_range(pmin, pmax)
     start = time.perf_counter()
@@ -196,25 +204,21 @@ def verify_range(
         for lo in range(max(pmin, 5), pmax + 1, _SHARD_WIDTH)
     ]
 
-    def consume(args, recs: List[WitnessRecord], shard_seconds: float) -> None:
-        for rec in recs:
-            if rec.ok:
-                summary.verified_count += 1
-            else:
-                summary.failure_count += 1
-            if record_sink is not None:
-                record_sink(rec)
-        if progress is not None:
-            progress(args[0], args[1], len(recs), shard_seconds)
-
-    if jobs <= 1 or len(shard_args) <= 1:
-        for args in shard_args:
-            recs, dt = _verify_shard(args)
-            consume(args, recs, dt)
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(shard_args))) as pool:
-            for args, (recs, dt) in zip(shard_args, pool.map(_verify_shard, shard_args)):
-                consume(args, recs, dt)
+    # _verify_shard is looked up by name here on every path; bench/spans.py
+    # wraps it at jobs=1
+    workers = min(jobs, len(shard_args), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        shards = (pool.map if pool else map)(_verify_shard, shard_args)
+        for (lo, hi, _), (recs, seconds) in zip(shard_args, shards):
+            for rec in recs:
+                if rec.ok:
+                    summary.verified_count += 1
+                else:
+                    summary.failure_count += 1
+                if record_sink is not None:
+                    record_sink(rec)
+            if progress is not None:
+                progress(lo, hi, len(recs), seconds)
 
     summary.elapsed = time.perf_counter() - start
     return summary

@@ -117,3 +117,14 @@ def _int_str(x: int) -> str:
 def format_fraction(x: Fraction) -> str:
     """Serialize as "numerator/denominator" in base 10, slash always present."""
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
+def format_decimal(x: Fraction, digits: int) -> str:
+    """Decimal expansion with exactly `digits` fractional digits, round half to even."""
+    num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
+    q, r = divmod(abs(num) * 10**digits, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    s = _int_str(q).rjust(digits + 1, "0")
+    return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else sign + s

@@ -239,6 +239,24 @@ def test_verify_out_csv_header_written_once(tmp_path):
     assert lines[0] == "p,n,case,residue,exact_checked,ok"
 
 
+def test_verify_out_refuses_a_partial_final_line(tmp_path):
+    # appending would glue the next record onto the cut-off one
+    out = tmp_path / "records.jsonl"
+    out.write_bytes(
+        b'{"p":5,"n":3,"case":"odd","residue":0,"exact_checked":true,"ok":true}\n'
+        b'{"p":7,"n":4,"ca'
+    )
+    before = out.read_bytes()
+    for fmt in ("jsonl", "csv"):
+        r = run_cli("verify", "--pmin", "11", "--pmax", "20", "--quiet",
+                    "--format", fmt, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert str(out) in r.stderr
+        assert '{"p":7,"n":4,"ca' in r.stderr
+        assert out.read_bytes() == before
+
+
 def test_verify_out_unwritable():
     r = run_cli("verify", "--pmin", "3", "--pmax", "10", "--out", "/nonexistent/x.jsonl")
     assert r.returncode == 2
@@ -306,3 +324,48 @@ def test_failing_record_yields_exit_one(monkeypatch, capsys):
 def test_no_command_is_usage_error():
     r = run_cli()
     assert r.returncode == 2
+
+
+_VERIFY_3_30 = [(5, 3, "odd"), (7, 4, "even"), (11, 7, "odd"), (13, 8, "even"),
+                (17, 11, "odd"), (19, 12, "even"), (23, 15, "odd"), (29, 19, "odd")]
+
+_STDOUT = {
+    ("witness 11", "jsonl"):
+        '{"p":11,"n":7,"case":"odd","residue":0,"exact_checked":true,"ok":true}\n',
+    ("witness 11", "csv"):
+        "p,n,case,residue,exact_checked,ok\n11,7,odd,0,true,true\n",
+    ("witness 11", "human"):
+        "p=11 n=7 case=odd: A_n residue 0 (exact+modular) -> ok\n",
+    ("pair-check 11", "jsonl"):
+        '{"p":11,"k":1,"a":4,"b":7,"residue":0}\n'
+        '{"p":11,"k":2,"a":5,"b":6,"residue":0}\n',
+    ("pair-check 11", "csv"):
+        "p,k,a,b,residue\n11,1,4,7,0\n11,2,5,6,0\n",
+    ("pair-check 11", "human"):
+        "pair (4,7): 4+7=11, inv(4)+inv(7) = 0 (mod 11)\n"
+        "pair (5,6): 5+6=11, inv(5)+inv(6) = 0 (mod 11)\n",
+    ("search 7 --nmax 40", "jsonl"):
+        '{"p":7,"n":4}\n{"p":7,"n":30}\n{"p":7,"n":34}\n',
+    ("search 7 --nmax 40", "csv"): "p,n\n7,4\n7,30\n7,34\n",
+    ("search 7 --nmax 40", "human"): "4\n30\n34\n",
+    ("search 3 --nmax 50", "jsonl"): "",
+    ("search 3 --nmax 50", "csv"): "p,n\n",
+    ("search 3 --nmax 50", "human"): "no n <= 50 with 3 | numerator(A_n)\n",
+    ("verify --pmin 3 --pmax 30 --quiet", "jsonl"): "".join(
+        f'{{"p":{p},"n":{n},"case":"{c}","residue":0,"exact_checked":true,"ok":true}}\n'
+        for p, n, c in _VERIFY_3_30),
+    ("verify --pmin 3 --pmax 30 --quiet", "csv"):
+        "p,n,case,residue,exact_checked,ok\n"
+        + "".join(f"{p},{n},{c},0,true,true\n" for p, n, c in _VERIFY_3_30),
+    ("verify --pmin 3 --pmax 30 --quiet", "human"): "".join(
+        f"p={p} n={n} case={c}: A_n residue 0 (exact+modular) -> ok\n"
+        for p, n, c in _VERIFY_3_30),
+}
+
+
+@pytest.mark.parametrize(
+    "command,fmt", list(_STDOUT), ids=[f"{c}-{f}".replace(" ", "_") for c, f in _STDOUT]
+)
+def test_stdout_bytes_pinned(capsys, command, fmt):
+    assert cli.main([*command.split(), "--format", fmt]) == 0
+    assert capsys.readouterr().out == _STDOUT[command, fmt]

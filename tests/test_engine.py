@@ -181,6 +181,40 @@ def test_verify_range_progress_callback():
     assert sum(k for _, _, k in calls) == 23  # odd primes in [5, 100] minus none
 
 
+@pytest.mark.parametrize(
+    "cpus,jobs,want",
+    [(3, 10_000, [3]), (3, 2, [2]), (None, 10_000, []), (64, 10_000, [25])],
+    ids=["above-cpus", "below-cpus", "cpus-unknown", "above-shards"],
+)
+def test_verify_range_caps_workers_at_cpu_count(monkeypatch, cpus, jobs, want):
+    made = []
+
+    class InProcessPool:
+        # stands in for ProcessPoolExecutor: records the worker count, maps here
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)  # 25 shards over [5, 400]
+    base = []
+    verify_range(5, 400, record_sink=base.append)
+    assert made == [] and len(base) == 76
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    recs = []
+    verify_range(5, 400, jobs=jobs, record_sink=recs.append)
+    assert made == want
+    assert recs == base
+
+
 def test_verify_range_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         verify_range(10, 5)

@@ -10,6 +10,7 @@ from altharm.rationals import (
     NotPAdicIntegerError,
     _merge,
     alternating_exact,
+    format_decimal,
     format_fraction,
     harmonic_exact,
     residue_of,
@@ -142,6 +143,21 @@ def test_format_fraction():
     assert format_fraction(Fraction(-1, 2)) == "-1/2"
     assert format_fraction(Fraction(0)) == "0/1"
     assert format_fraction(Fraction(3)) == "3/1"
+
+
+def test_format_decimal():
+    # ties round half to even: 0.125 -> 0.12, 0.375 -> 0.38
+    assert format_decimal(Fraction(1, 8), 2) == "0.12"
+    assert format_decimal(Fraction(3, 8), 2) == "0.38"
+    assert format_decimal(Fraction(-1, 8), 2) == "-0.12"
+    # digits=0 prints no point: 2.5 -> 2, 3.5 -> 4, 319/420 -> 1
+    assert format_decimal(Fraction(5, 2), 0) == "2"
+    assert format_decimal(Fraction(7, 2), 0) == "4"
+    assert format_decimal(Fraction(319, 420), 0) == "1"
+    # below 1: a leading zero, and zeros kept after the point
+    assert format_decimal(Fraction(1, 300), 4) == "0.0033"
+    assert format_decimal(Fraction(319, 420), 6) == "0.759524"
+    assert format_decimal(Fraction(1, 3000), 2) == "0.00"
 
 
 def test_format_fraction_past_the_int_str_digit_limit():
