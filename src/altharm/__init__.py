@@ -25,12 +25,9 @@ from .engine import (
     witness_index,
 )
 from .modfield import (
-    NotUnitError,
     PrimeModulus,
     Residue,
     alternating_mod,
-    batch_inverse,
-    mod_inverse,
     pairing_defect,
 )
 from .primes import (
@@ -59,7 +56,6 @@ __all__ = [
     "DEFAULT_SEGMENT_BUDGET",
     "FormCase",
     "NotPAdicIntegerError",
-    "NotUnitError",
     "PrimeModulus",
     "PrimeRange",
     "RangeSummary",
@@ -67,12 +63,10 @@ __all__ = [
     "WitnessRecord",
     "alternating_exact",
     "alternating_mod",
-    "batch_inverse",
     "classify_index",
     "format_fraction",
     "harmonic_exact",
     "is_prime",
-    "mod_inverse",
     "odd_primes_iter",
     "pairing_defect",
     "record_to_csv",

@@ -62,10 +62,10 @@ def _witness(p: int) -> Tuple[int, FormCase]:
             f"proof construction inapplicable for p={p}: 2p-1 = {2 * p - 1} "
             f"is {(2 * p - 1) % 3} mod 3"
         )
-    if (2 * p - 1) % 3 == 0:
-        return (2 * p - 1) // 3, FormCase.ODD
-    # 2p-1 = 2 mod 3 would force 3 | p, impossible for a prime p >= 5
-    return (2 * p - 2) // 3, FormCase.EVEN
+    # 2p-1 is 3n or 3n+1 (3n+2 would force 3 | p), so n = floor((2p-1)/3),
+    # and linked_prime maps n back to p with the case
+    n = (2 * p - 1) // 3
+    return n, linked_prime(n)[1]
 
 
 def classify_index(n: int) -> Optional[Tuple[int, FormCase]]:
@@ -160,12 +160,13 @@ class RangeSummary:
 
 
 def check_range(pmin: int, pmax: int) -> None:
-    """Reject a range verify_range cannot run: pmin > pmax, or pmax >= 2^64,
-    past the range is_prime covers."""
+    """Reject a range verify_range cannot run: pmin > pmax, or pmax >= 2^32.
+    The cap refuses no run that could finish (one prime near 2^32 needs a tail
+    of about 1.4e9 terms) and keeps the sieve's base-prime mask small."""
     if pmin > pmax:
         raise ValueError(f"empty range: pmin={pmin} > pmax={pmax}")
-    if pmax >= 1 << 64:
-        raise ValueError(f"pmax={pmax} is not below 2^64, the limit of is_prime")
+    if pmax >= 1 << 32:
+        raise ValueError(f"pmax={pmax} is not below 2^32, the limit of verify ranges")
 
 
 def _verify_shard(args: Tuple[int, int, int]) -> Tuple[List[WitnessRecord], float]:

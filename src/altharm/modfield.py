@@ -1,24 +1,19 @@
 """Arithmetic in Z/pZ for odd primes p.
 
-Covers canonical residues, single and batch modular inversion, the tail-sum
-evaluation of the alternating harmonic sum A_n modulo p, and the pairing
-check that shows term-by-term why that sum cancels.  The tail sum is a
-pairwise fraction fold: adjacent (num, den) pairs are added level by level
-in numpy arrays, int64 while p <= _NUMPY_MAX_P and Python ints above that,
-and one inversion ends it.
+Covers canonical residues, the tail-sum evaluation of the alternating
+harmonic sum A_n modulo p, and the pairing check that shows term-by-term why
+that sum cancels.  The tail sum is a pairwise fraction fold: adjacent
+(num, den) pairs are added level by level in numpy arrays, int64 while
+p <= _NUMPY_MAX_P and Python ints above that, and one inversion ends it.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .primes import is_prime
-
-
-class NotUnitError(ValueError):
-    """Raised when inverting something that is 0 mod p."""
 
 
 @dataclass(frozen=True)
@@ -32,10 +27,6 @@ class PrimeModulus:
             raise ValueError(f"modulus must be an odd prime >= 3, got {self.p}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    def residue(self, value: int) -> "Residue":
-        """Canonical representative of value mod p."""
-        return Residue(value % self.p, self)
 
 
 @dataclass(frozen=True)
@@ -74,56 +65,8 @@ def linked_prime(n: int) -> Tuple[int, FormCase]:
     return (3 * n + 2) // 2, FormCase.EVEN
 
 
-def mod_inverse(a: Residue) -> Residue:
-    """The x with a*x = 1 mod p; a must be nonzero."""
-    if a.value == 0:
-        raise NotUnitError(f"0 is not a unit mod {a.modulus.p}")
-    # pow(., -1, p) is the stdlib's extended-Euclid inverse
-    return Residue(pow(a.value, -1, a.modulus.p), a.modulus)
-
-
-def batch_inverse(values: Sequence[Residue], p: PrimeModulus) -> List[Residue]:
-    """Elementwise mod_inverse using one inversion plus O(len) multiplications.
-
-    The prefix-product trick: invert the running product once, then peel the
-    factors back off.  Any zero element is rejected with its index.
-    """
-    ints = []
-    for i, r in enumerate(values):
-        if r.modulus != p:
-            raise ValueError(
-                f"element {i} has modulus {r.modulus.p}, expected {p.p}"
-            )
-        if r.value == 0:
-            raise NotUnitError(f"element {i} is 0 mod {p.p}: not a unit")
-        ints.append(r.value)
-    return [Residue(v, p) for v in _batch_inverse_ints(ints, p.p)]
-
-
-def _batch_inverse_ints(vals: Sequence[int], p: int) -> List[int]:
-    n = len(vals)
-    if n == 0:
-        return []
-    prefix = [1] * n  # prefix[i] = product of vals[:i]
-    acc = 1
-    for i, v in enumerate(vals):
-        prefix[i] = acc
-        acc = acc * v % p
-    inv = pow(acc, -1, p)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] * inv % p
-        inv = inv * vals[i] % p
-    return out
-
-
 # Largest modulus for which two residues multiply without overflowing int64.
 _NUMPY_MAX_P = 3_037_000_499
-
-
-def _inverse_range(lo: int, hi: int, p: int) -> List[int]:
-    """Inverses of lo..hi mod p; requires 0 < lo and hi < p."""
-    return _batch_inverse_ints(range(lo, hi + 1), p)
 
 
 def _tail_mod(lo: int, hi: int, p: int) -> int:
@@ -159,6 +102,11 @@ def alternating_mod(n: int, p: PrimeModulus) -> Residue:
             f"modulus inside summation range: p={p.p} <= n={n} (need p > n)"
         )
     return Residue(_tail_mod(n // 2 + 1, n, p.p), p)
+
+
+def _inverse_range(lo: int, hi: int, p: int) -> List[int]:
+    """Inverses of lo..hi mod p; requires 0 < lo and hi < p."""
+    return [pow(k, -1, p) for k in range(lo, hi + 1)]
 
 
 def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> List[Residue]:

@@ -198,10 +198,15 @@ def test_verify_inverted_range():
          "pmin=10 > pmax=5"),
         # past is_prime's 64-bit range: refused before any sieving
         (["verify", "--pmin", str(2**64 + 1), "--pmax", str(2**64 + 84), "--format", "csv"],
-         "2^64"),
+         "2^32"),
+        # just below 2^64, where the sieve's base primes would need a 4 GiB mask
+        (["verify", "--pmin", "18446744073709551000", "--pmax", "18446744073709551557",
+          "--format", "csv", "--out", "{out}"],
+         "2^32"),
     ],
     ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
-         "witness-3", "pair-check-2", "verify-inverted", "verify-past-2^64"],
+         "witness-3", "pair-check-2", "verify-inverted", "verify-past-2^64",
+         "verify-below-2^64"],
 )
 def test_invalid_input_writes_nothing(tmp_path, args, rule):
     out = tmp_path / "records.csv"

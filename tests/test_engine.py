@@ -8,6 +8,7 @@ from altharm.engine import (
     FormCase,
     ProofInapplicableError,
     WitnessRecord,
+    check_range,
     classify_index,
     record_to_csv,
     record_to_json,
@@ -219,8 +220,12 @@ def test_verify_range_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         verify_range(10, 5)
     # past is_prime's 64-bit range; rejected before any sieving
-    with pytest.raises(ValueError, match="2\\^64"):
+    with pytest.raises(ValueError, match="2\\^32"):
         verify_range(5, 2**64)
+    # the cap itself, called directly: a verify near 2^32 would not finish
+    with pytest.raises(ValueError, match="pmax=4294967296 is not below 2\\^32"):
+        check_range(5, 2**32)
+    assert check_range(5, 2**32 - 1) is None
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,13 @@ import pytest
 import oracles
 from altharm.modfield import (
     FormCase,
-    NotUnitError,
     PrimeModulus,
     Residue,
     _NUMPY_MAX_P,
     _check_case_linkage,
+    _inverse_range,
     _tail_mod,
     alternating_mod,
-    batch_inverse,
-    mod_inverse,
     pairing_defect,
 )
 from altharm.engine import classify_index
@@ -31,68 +29,30 @@ def test_prime_modulus_validation():
 
 def test_residue_validation_and_canonicalization():
     pm = PrimeModulus(7)
-    assert pm.residue(-1).value == 6
-    assert pm.residue(15).value == 1
-    assert int(pm.residue(3)) == 3
+    assert Residue(-1 % 7, pm).value == 6
+    assert Residue(15 % 7, pm).value == 1
+    assert int(Residue(3, pm)) == 3
     with pytest.raises(ValueError):
         Residue(7, pm)
     with pytest.raises(ValueError):
         Residue(-1, pm)
 
 
-def test_mod_inverse_examples():
-    pm = PrimeModulus(11)
-    assert mod_inverse(Residue(1, pm)).value == 1
-    assert mod_inverse(Residue(2, pm)).value == 6
-    with pytest.raises(NotUnitError):
-        mod_inverse(Residue(0, PrimeModulus(7)))
-
-
 @pytest.mark.parametrize("p", [3, 5, 11, 101])
 def test_mod_inverse_against_bruteforce(p):
-    pm = PrimeModulus(p)
-    for a in range(1, p):
-        assert mod_inverse(Residue(a, pm)).value == oracles.inverse_bruteforce(a, p)
+    # the whole unit group, so a window off by one at either end or a wrong
+    # value anywhere fails; every expected inverse is nonzero
+    want = [oracles.inverse_bruteforce(a, p) for a in range(1, p)]
+    assert _inverse_range(1, p - 1, p) == want
 
 
 def test_mod_inverse_property_large_modulus():
     p = 2**61 - 1
-    pm = PrimeModulus(p)
-    rng = random.Random(99)
-    for _ in range(50):
-        a = rng.randrange(1, p)
-        assert a * mod_inverse(Residue(a, pm)).value % p == 1
-
-
-def test_batch_inverse_examples():
-    pm7 = PrimeModulus(7)
-    assert [r.value for r in batch_inverse([Residue(1, pm7)], pm7)] == [1]
-    vals = [Residue(v, pm7) for v in (1, 2, 3)]
-    assert [r.value for r in batch_inverse(vals, pm7)] == [1, 4, 5]
-
-
-def test_batch_inverse_zero_element_reports_index():
-    pm7 = PrimeModulus(7)
-    vals = [Residue(3, pm7), Residue(0, pm7), Residue(5, pm7)]
-    with pytest.raises(NotUnitError, match="element 1"):
-        batch_inverse(vals, pm7)
-
-
-def test_batch_inverse_rejects_foreign_modulus():
-    pm7, pm11 = PrimeModulus(7), PrimeModulus(11)
-    with pytest.raises(ValueError, match="element 0"):
-        batch_inverse([Residue(3, pm11)], pm7)
-
-
-def test_batch_inverse_matches_single_inversions():
-    rng = random.Random(42)
-    for p in (5, 13, 997, 2**31 - 1):
-        pm = PrimeModulus(p)
-        vals = [Residue(rng.randrange(1, p), pm) for _ in range(257)]
-        got = batch_inverse(vals, pm)
-        for v, g in zip(vals, got):
-            assert g.value == mod_inverse(v).value
-        assert batch_inverse([], pm) == []
+    lo = p - 100
+    invs = _inverse_range(lo, p - 1, p)
+    assert len(invs) == 100
+    for a, inv in zip(range(lo, p), invs):
+        assert a * inv % p == 1
 
 
 def _check_tail_against_oracle(primes, seed):
