@@ -8,7 +8,6 @@ verifies the divisibility claim prime by prime over ranges.
 """
 
 from .engine import (
-    CSV_HEADER,
     ConsistencyError,
     DEFAULT_EXACT_THRESHOLD,
     DEFAULT_SEARCH_BUDGET,
@@ -17,7 +16,6 @@ from .engine import (
     RangeSummary,
     WitnessRecord,
     classify_index,
-    record_to_csv,
     record_to_json,
     search_numerator_divisor,
     verify_prime,
@@ -31,7 +29,6 @@ from .modfield import (
     pairing_defect,
 )
 from .primes import (
-    DEFAULT_SEGMENT_BUDGET,
     PrimeRange,
     is_prime,
     odd_primes_iter,
@@ -49,11 +46,9 @@ from .rationals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSV_HEADER",
     "ConsistencyError",
     "DEFAULT_EXACT_THRESHOLD",
     "DEFAULT_SEARCH_BUDGET",
-    "DEFAULT_SEGMENT_BUDGET",
     "FormCase",
     "NotPAdicIntegerError",
     "PrimeModulus",
@@ -69,7 +64,6 @@ __all__ = [
     "is_prime",
     "odd_primes_iter",
     "pairing_defect",
-    "record_to_csv",
     "record_to_json",
     "residue_of",
     "search_numerator_divisor",

@@ -2,8 +2,9 @@
 verification, numerator-divisor search, and the pairing demonstration.
 
 Exit codes: 0 all checks passed; 1 a verification produced ok=false;
-2 usage or validation error.  With jsonl/csv formats stdout carries only
-records; progress and summaries go to stderr.
+2 usage or validation error, or out of memory; 141 stdout was closed early.
+With jsonl/csv formats stdout carries only records; progress and summaries
+go to stderr.
 """
 
 import argparse
@@ -35,6 +36,7 @@ JOBS_ENV_VAR = "ALTHARM_JOBS"
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -286,10 +288,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+        return code
     except ValueError as exc:
         print(f"altharm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"altharm: error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so the
+        # interpreter's own flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -107,15 +106,8 @@ def row_to_csv(row: Sequence) -> str:
     return ",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row)
 
 
-CSV_HEADER = row_to_csv(RECORD_FIELDS)
-
-
 def record_to_json(rec: WitnessRecord) -> str:
     return row_to_json(RECORD_FIELDS, record_row(rec))
-
-
-def record_to_csv(rec: WitnessRecord) -> str:
-    return row_to_csv(record_row(rec))
 
 
 def verify_prime(p: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> WitnessRecord:
@@ -208,7 +200,8 @@ def verify_range(
     # _verify_shard is looked up by name here on every path; bench/spans.py
     # wraps it at jobs=1
     workers = min(jobs, len(shard_args), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
         shards = (pool.map if pool else map)(_verify_shard, shard_args)
         for (lo, hi, _), (recs, seconds) in zip(shard_args, shards):
             for rec in recs:
@@ -220,6 +213,11 @@ def verify_range(
                     record_sink(rec)
             if progress is not None:
                 progress(lo, hi, len(recs), seconds)
+    finally:
+        # after an error (sink, worker, closed pipe) the queued shards are
+        # dropped; only the ones already running are waited for
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     summary.elapsed = time.perf_counter() - start
     return summary

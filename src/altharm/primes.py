@@ -6,8 +6,9 @@ from typing import Iterator, List
 
 import numpy as np
 
-# Candidates per sieve segment; keeps the working bitmap cache-resident.
-DEFAULT_SEGMENT_BUDGET = 1 << 20
+# Candidates per sieve segment: keeps the working bitmap cache-resident and
+# bounds the mask of any one sieve_range call.
+_SEGMENT_WIDTH = 1 << 20
 
 _U64_MAX = (1 << 64) - 1
 
@@ -65,27 +66,17 @@ class PrimeRange:
         return self.hi - self.lo + 1
 
 
-def _base_primes(limit: int) -> List[int]:
-    """Primes <= limit by a plain boolean sieve."""
-    if limit < 2:
-        return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).tolist()
-
-
-def sieve_range(r: PrimeRange, segment_budget: int = DEFAULT_SEGMENT_BUDGET) -> List[int]:
+def sieve_range(r: PrimeRange) -> List[int]:
     """Exactly the primes in [r.lo, r.hi], ascending.
 
-    The width of the range may not exceed segment_budget; callers with a
-    wider interval must split it (or use odd_primes_iter, which does).
+    The width of the range may not exceed one segment (2^20 candidates);
+    callers with a wider interval must split it (or use odd_primes_iter,
+    which does).  The odd base primes up to isqrt(r.hi) come from
+    odd_primes_iter, segment by segment, so no mask is wider than a segment.
     """
-    if r.width > segment_budget:
+    if r.width > _SEGMENT_WIDTH:
         raise ValueError(
-            f"segment budget exceeded: width {r.width} > {segment_budget}; split the range"
+            f"segment budget exceeded: width {r.width} > {_SEGMENT_WIDTH}; split the range"
         )
     if r.hi < 2:
         return []
@@ -97,9 +88,8 @@ def sieve_range(r: PrimeRange, segment_budget: int = DEFAULT_SEGMENT_BUDGET) -> 
         return out
     count = (r.hi - first) // 2 + 1
     mask = np.ones(count, dtype=bool)
-    for p in _base_primes(math.isqrt(r.hi)):
-        if p == 2:
-            continue
+    # recursion ends: isqrt(hi) < hi for hi >= 2, and nothing is sieved below 3
+    for p in odd_primes_iter(0, math.isqrt(r.hi)):
         start = max(p * p, (first + p - 1) // p * p)
         if start % 2 == 0:
             start += p
@@ -110,18 +100,16 @@ def sieve_range(r: PrimeRange, segment_budget: int = DEFAULT_SEGMENT_BUDGET) -> 
     return out
 
 
-def odd_primes_iter(
-    pmin: int, pmax: int, segment_budget: int = DEFAULT_SEGMENT_BUDGET
-) -> Iterator[int]:
+def odd_primes_iter(pmin: int, pmax: int) -> Iterator[int]:
     """Yield each odd prime in [pmin, pmax] exactly once, ascending.
 
-    2 is never yielded.  Sieving proceeds in segments of at most
-    segment_budget candidates, so arbitrarily wide ranges are fine.
+    2 is never yielded.  Sieving proceeds in segments of at most 2^20
+    candidates, so arbitrarily wide ranges are fine.
     """
     if pmin > pmax:
         raise ValueError(f"pmin={pmin} > pmax={pmax}")
     lo = max(pmin, 3)
     while lo <= pmax:
-        hi = min(lo + segment_budget - 1, pmax)
-        yield from sieve_range(PrimeRange(lo, hi), segment_budget)
+        hi = min(lo + _SEGMENT_WIDTH - 1, pmax)
+        yield from sieve_range(PrimeRange(lo, hi))
         lo = hi + 1

@@ -203,10 +203,12 @@ def test_verify_inverted_range():
         (["verify", "--pmin", "18446744073709551000", "--pmax", "18446744073709551557",
           "--format", "csv", "--out", "{out}"],
          "2^32"),
+        # a 2.4 TiB tail: the allocation fails at once
+        (["witness", "1000000000039"], "out of memory"),
     ],
     ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
          "witness-3", "pair-check-2", "verify-inverted", "verify-past-2^64",
-         "verify-below-2^64"],
+         "verify-below-2^64", "witness-out-of-memory"],
 )
 def test_invalid_input_writes_nothing(tmp_path, args, rule):
     out = tmp_path / "records.csv"
@@ -215,6 +217,31 @@ def test_invalid_input_writes_nothing(tmp_path, args, rule):
     assert r.stdout == ""
     assert rule in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--pmin", "5", "--pmax", "300000", "--quiet", "--jobs", "2"],
+        ["pair-check", "100003", "--format", "csv"],
+    ],
+    ids=["verify", "pair-check"],
+)
+def test_closed_stdout_exits_141(tmp_path, args):
+    # `altharm ... | head -1`: the reader takes one line and closes the pipe;
+    # both commands write far more than a pipe holds
+    env = dict(os.environ)
+    env.pop("ALTHARM_JOBS", None)
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "altharm", *args],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        err.seek(0)
+        assert "Traceback" not in err.read()
 
 
 def test_verify_out_append_and_resume(tmp_path):

@@ -4,14 +4,15 @@ import oracles
 import altharm
 from altharm import engine, modfield
 from altharm.engine import (
-    CSV_HEADER,
+    RECORD_FIELDS,
     FormCase,
     ProofInapplicableError,
     WitnessRecord,
     check_range,
     classify_index,
-    record_to_csv,
+    record_row,
     record_to_json,
+    row_to_csv,
     search_numerator_divisor,
     verify_prime,
     verify_range,
@@ -128,8 +129,8 @@ def test_record_serialization():
         record_to_json(rec)
         == '{"p":11,"n":7,"case":"odd","residue":0,"exact_checked":true,"ok":true}'
     )
-    assert record_to_csv(rec) == "11,7,odd,0,true,true"
-    assert CSV_HEADER == "p,n,case,residue,exact_checked,ok"
+    assert row_to_csv(record_row(rec)) == "11,7,odd,0,true,true"
+    assert row_to_csv(RECORD_FIELDS) == "p,n,case,residue,exact_checked,ok"
 
 
 def test_verify_range_small():
@@ -182,38 +183,56 @@ def test_verify_range_progress_callback():
     assert sum(k for _, _, k in calls) == 23  # odd primes in [5, 100] minus none
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools verify_range makes, each a stand-in for ProcessPoolExecutor
+    that maps lazily in this process and logs each shutdown's cancel_futures."""
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.cancel_futures = []
+            made.append(self)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.cancel_futures.append(cancel_futures)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    return made
+
+
 @pytest.mark.parametrize(
     "cpus,jobs,want",
     [(3, 10_000, [3]), (3, 2, [2]), (None, 10_000, []), (64, 10_000, [25])],
     ids=["above-cpus", "below-cpus", "cpus-unknown", "above-shards"],
 )
-def test_verify_range_caps_workers_at_cpu_count(monkeypatch, cpus, jobs, want):
-    made = []
-
-    class InProcessPool:
-        # stands in for ProcessPoolExecutor: records the worker count, maps here
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+def test_verify_range_caps_workers_at_cpu_count(monkeypatch, pools, cpus, jobs, want):
     monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)  # 25 shards over [5, 400]
     base = []
     verify_range(5, 400, record_sink=base.append)
-    assert made == [] and len(base) == 76
+    assert pools == [] and len(base) == 76
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     recs = []
     verify_range(5, 400, jobs=jobs, record_sink=recs.append)
-    assert made == want
+    assert [pool.max_workers for pool in pools] == want
     assert recs == base
+
+
+def test_verify_range_cancels_queued_shards_on_error(monkeypatch, pools):
+    # a sink that fails (say, on a closed pipe) must not wait for every shard
+    monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+
+    def sink(rec):
+        raise BrokenPipeError
+
+    with pytest.raises(BrokenPipeError):
+        verify_range(5, 400, jobs=2, record_sink=sink)
+    assert [(pool.max_workers, pool.cancel_futures) for pool in pools] == [(2, [True])]
 
 
 def test_verify_range_rejects_inverted_bounds():

@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from altharm import primes
 from altharm.primes import PrimeRange, is_prime, odd_primes_iter, sieve_range
 
 
@@ -65,8 +66,9 @@ def test_sieve_range_examples(lo, hi, want):
 
 
 def test_sieve_range_budget():
+    # one candidate past a segment; raises before any mask is allocated
     with pytest.raises(ValueError, match="segment budget"):
-        sieve_range(PrimeRange(0, 100), segment_budget=50)
+        sieve_range(PrimeRange(0, primes._SEGMENT_WIDTH))
 
 
 def test_sieve_range_agrees_with_trial_division():
@@ -88,10 +90,24 @@ def test_odd_primes_iter_never_yields_two():
     assert 2 not in list(odd_primes_iter(0, 50))
 
 
-def test_odd_primes_iter_segmentation():
-    # tiny segments must not change the stream
+def test_odd_primes_iter_segmentation(monkeypatch):
+    # tiny segments must not change the stream; the base primes are then
+    # cut into segments too
+    monkeypatch.setattr(primes, "_SEGMENT_WIDTH", 7)
     want = [p for p in oracles.primes_upto_trial(2_000) if p != 2]
-    assert list(odd_primes_iter(0, 2_000, segment_budget=7)) == want
+    assert list(odd_primes_iter(0, 2_000)) == want
+
+
+@pytest.mark.parametrize(
+    "lo",
+    [2**32 - 2000, 2**40, 2**41],
+    ids=["below-2^32", "2^40", "2^41"],
+)
+def test_odd_primes_iter_high_ranges(lo):
+    # at 2^41 the base primes up to isqrt(hi) > 2^20 span two segments
+    hi = lo + 1999
+    want = [x for x in range(lo, hi + 1) if x % 2 and is_prime(x)]
+    assert list(odd_primes_iter(lo, hi)) == want
 
 
 def test_odd_primes_iter_rejects_inverted_range():
