@@ -24,9 +24,8 @@ from .engine import (
     search_numerator_divisor,
     verify_prime,
     verify_range,
-    witness_index,
 )
-from .modfield import PrimeModulus, pairing_defect
+from .modfield import PrimeModulus, linked_index, pairing_defect
 from .rationals import alternating_exact, format_decimal, format_fraction
 
 DEFAULT_EXACT_BUDGET = 10**6
@@ -226,8 +225,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     with target as out:
-        # a csv header only at the start of the stream, so appended reruns concatenate
-        size = 0 if out is sys.stdout else out.tell()
+        # a csv header only at a stream's start (a pipe is one), so reruns concatenate
+        size = out.tell() if out is not sys.stdout and out.seekable() else 0
         if size:
             _check_last_line(args.out, size)
         write = _row_writer(out, args.format, RECORD_FIELDS, _record_human, not size)
@@ -271,8 +270,8 @@ def _pair_human(p, k, a, b, residue) -> str:
 
 def cmd_pair_check(args: argparse.Namespace) -> int:
     p = args.p
-    n, case = witness_index(p)
-    defects = pairing_defect(n, PrimeModulus(p), case)
+    n, case = linked_index(p)  # before the proof, so 2 and 3 read "inapplicable"
+    defects = pairing_defect(n, PrimeModulus(p), case)  # the one primality proof
     rows = [(p, k, n // 2 + k, n + 1 - k, r.value) for k, r in enumerate(defects, 1)]
     _row_writer(sys.stdout, args.format, ("p", "k", "a", "b", "residue"), _pair_human)(rows)
     all_zero = all(r.value == 0 for r in defects)

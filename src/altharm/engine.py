@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .modfield import FormCase, PrimeModulus, alternating_mod, linked_prime
+from .modfield import FormCase, PrimeModulus, alternating_mod, linked_index, linked_prime
+from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, residue_of
 
@@ -33,10 +34,6 @@ DEFAULT_SEARCH_BUDGET = 100_000
 _SHARD_WIDTH = 8192
 
 
-class ProofInapplicableError(ValueError):
-    """The witness construction does not cover this prime (p = 2 or 3)."""
-
-
 class ConsistencyError(RuntimeError):
     """Exact and modular evaluations disagree: an implementation bug, not math."""
 
@@ -48,23 +45,9 @@ def witness_index(p: int) -> Tuple[int, FormCase]:
     even case with p = (3n+2)/2.  For p in {2, 3} neither holds and a
     dedicated ProofInapplicableError is raised.
     """
-    witness = _witness(p)
+    witness = linked_index(p)
     PrimeModulus(p)  # rejects a composite p
     return witness
-
-
-def _witness(p: int) -> Tuple[int, FormCase]:
-    # witness_index without the primality proof, for callers that prove it
-    # another way; for a non-prime p the result is meaningless
-    if p in (2, 3):
-        raise ProofInapplicableError(
-            f"proof construction inapplicable for p={p}: 2p-1 = {2 * p - 1} "
-            f"is {(2 * p - 1) % 3} mod 3"
-        )
-    # 2p-1 is 3n or 3n+1 (3n+2 would force 3 | p), so n = floor((2p-1)/3),
-    # and linked_prime maps n back to p with the case
-    n = (2 * p - 1) // 3
-    return n, linked_prime(n)[1]
 
 
 def classify_index(n: int) -> Optional[Tuple[int, FormCase]]:
@@ -118,7 +101,7 @@ def verify_prime(p: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Witn
     and any disagreement aborts with ConsistencyError.  ok=False is a
     counterexample report, never an exception.
     """
-    n, case = _witness(p)
+    n, case = linked_index(p)
     pm = PrimeModulus(p)  # the one primality proof: a composite p raises here
     # these congruences are forced by the linkage; breaking one is a bug
     if case is FormCase.ODD and n % 4 != 3:

@@ -1,10 +1,10 @@
 """Arithmetic in Z/pZ for odd primes p.
 
-Covers canonical residues, the tail-sum evaluation of the alternating
-harmonic sum A_n modulo p, and the pairing check that shows term-by-term why
-that sum cancels.  The tail sum is a pairwise fraction fold: adjacent
-(num, den) pairs are added level by level in numpy arrays, int64 while
-p <= _NUMPY_MAX_P and Python ints above that, and one inversion ends it.
+Covers canonical residues, both directions of the witness linkage p <-> n,
+the tail sum of A_n modulo p, and the pairing check that shows term by term
+why it cancels.  The tail sum is a pairwise fraction fold: adjacent (num, den)
+pairs are added level by level in numpy arrays, int64 while p <= _NUMPY_MAX_P
+and Python ints above that, and one inversion ends it.
 """
 
 import enum
@@ -63,6 +63,24 @@ def linked_prime(n: int) -> Tuple[int, FormCase]:
     if n % 2:
         return (3 * n + 1) // 2, FormCase.ODD
     return (3 * n + 2) // 2, FormCase.EVEN
+
+
+class ProofInapplicableError(ValueError):
+    """The witness construction does not cover this prime (p = 2 or 3)."""
+
+
+def linked_index(p: int) -> Tuple[int, FormCase]:
+    """The (n, case) whose linked_prime is p; p is not proved prime here.
+    No n reaches p in {2, 3}: those raise ProofInapplicableError."""
+    if p in (2, 3):
+        raise ProofInapplicableError(
+            f"proof construction inapplicable for p={p}: 2p-1 = {2 * p - 1} "
+            f"is {(2 * p - 1) % 3} mod 3"
+        )
+    # 2p-1 is 3n or 3n+1 (3n+2 would force 3 | p), so n = floor((2p-1)/3),
+    # and linked_prime maps n back to p with the case
+    n = (2 * p - 1) // 3
+    return n, linked_prime(n)[1]
 
 
 # Largest modulus for which two residues multiply without overflowing int64.

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from altharm import cli
+import oracles
+from altharm import cli, engine, modfield
 from altharm.engine import FormCase, WitnessRecord
 from altharm.rationals import alternating_exact
 
@@ -194,6 +195,10 @@ def test_verify_inverted_range():
         (["witness", "9"], "9 is not prime"),
         (["witness", "3"], "inapplicable"),
         (["pair-check", "2"], "inapplicable"),
+        (["pair-check", "3"], "inapplicable"),
+        # the map from p to n runs before the proof; these pin its order
+        (["pair-check", "9"], "9 is not prime"),
+        (["pair-check", "1"], "odd prime >= 3"),
         (["verify", "--pmin", "10", "--pmax", "5", "--format", "csv", "--out", "{out}"],
          "pmin=10 > pmax=5"),
         # past is_prime's 64-bit range: refused before any sieving
@@ -207,7 +212,8 @@ def test_verify_inverted_range():
         (["witness", "1000000000039"], "out of memory"),
     ],
     ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
-         "witness-3", "pair-check-2", "verify-inverted", "verify-past-2^64",
+         "witness-3", "pair-check-2", "pair-check-3", "pair-check-composite",
+         "pair-check-1", "verify-inverted", "verify-past-2^64",
          "verify-below-2^64", "witness-out-of-memory"],
 )
 def test_invalid_input_writes_nothing(tmp_path, args, rule):
@@ -289,6 +295,17 @@ def test_verify_out_refuses_a_partial_final_line(tmp_path):
         assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_verify_out_to_a_pipe(fmt):
+    # /dev/stdout on a pipe cannot seek: written as a fresh stream, csv header once
+    args = ("verify", "--pmin", "5", "--pmax", "30", "--quiet", "--format", fmt)
+    plain = run_cli(*args)
+    piped = run_cli(*args, "--out", "/dev/stdout")
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == plain.stdout
+    assert plain.stdout.count("\n") == (9 if fmt == "csv" else 8)
+
+
 def test_verify_out_unwritable():
     r = run_cli("verify", "--pmin", "3", "--pmax", "10", "--out", "/nonexistent/x.jsonl")
     assert r.returncode == 2
@@ -336,10 +353,17 @@ def test_pair_check():
     assert r.stdout.splitlines() == ["p,k,a,b,residue", "5,1,2,3,0"]
 
 
-def test_pair_check_rejects_excluded_primes():
-    for p in ("3", "2", "9"):
-        r = run_cli("pair-check", p)
-        assert r.returncode == 2
+def test_pair_check_proves_primality_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return oracles.trial_is_prime(x)
+
+    monkeypatch.setattr(engine, "is_prime", counting)
+    monkeypatch.setattr(modfield, "is_prime", counting)
+    assert cli.main(["pair-check", "11", "--format", "jsonl"]) == 0
+    assert calls == [11]
 
 
 def test_failing_record_yields_exit_one(monkeypatch, capsys):

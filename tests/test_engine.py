@@ -34,6 +34,7 @@ def test_witness_index_examples(p, n, case):
 
 
 def test_witness_index_rejects_2_and_3_with_dedicated_error():
+    assert ProofInapplicableError is modfield.ProofInapplicableError is altharm.ProofInapplicableError
     for p in (2, 3):
         with pytest.raises(ProofInapplicableError, match="inapplicable"):
             witness_index(p)
