@@ -10,7 +10,6 @@ verifies the divisibility claim prime by prime over ranges.
 from .engine import (
     ConsistencyError,
     DEFAULT_EXACT_THRESHOLD,
-    DEFAULT_SEARCH_BUDGET,
     FormCase,
     ProofInapplicableError,
     RangeSummary,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConsistencyError",
     "DEFAULT_EXACT_THRESHOLD",
-    "DEFAULT_SEARCH_BUDGET",
     "FormCase",
     "NotPAdicIntegerError",
     "PrimeModulus",

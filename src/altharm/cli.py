@@ -14,8 +14,6 @@ from contextlib import nullcontext
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .engine import (
-    DEFAULT_EXACT_THRESHOLD,
-    DEFAULT_SEARCH_BUDGET,
     RECORD_FIELDS,
     check_range,
     record_row,
@@ -29,8 +27,6 @@ from .modfield import PrimeModulus, linked_index, pairing_defect
 from .rationals import alternating_exact, format_decimal, format_fraction
 
 DEFAULT_EXACT_BUDGET = 10**6
-
-JOBS_ENV_VAR = "ALTHARM_JOBS"
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -74,12 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--pmin", type=int, required=True)
     p_verify.add_argument("--pmax", type=int, required=True)
     p_verify.add_argument(
-        "--jobs", type=int, default=None,
-        help=f"worker processes (default: ${JOBS_ENV_VAR} or CPU count)",
-    )
-    p_verify.add_argument(
-        "--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD,
-        help="cross-check against the exact oracle for witness indices up to this",
+        "--jobs", type=int, default=os.cpu_count() or 1,
+        help="worker processes (default: CPU count)",
     )
     _add_format_flag(p_verify)
     p_verify.add_argument(
@@ -96,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("p", type=int)
     p_search.add_argument("--nmax", type=int, required=True)
-    p_search.add_argument(
-        "--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-        help=f"largest accepted nmax (default {DEFAULT_SEARCH_BUDGET})",
-    )
     _add_format_flag(p_search)
     p_search.set_defaults(func=cmd_search)
 
@@ -124,24 +112,6 @@ def _resolve_format(chosen: Optional[str], stream: TextIO) -> str:
     if chosen:
         return chosen
     return "human" if stream.isatty() else "jsonl"
-
-
-def _resolve_jobs(flag_value: Optional[int]) -> int:
-    # the flag wins over the environment, which wins over the CPU count
-    if flag_value is not None:
-        if flag_value < 1:
-            raise ValueError(f"--jobs must be positive, got {flag_value}")
-        return flag_value
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}")
-        if jobs < 1:
-            raise ValueError(f"{JOBS_ENV_VAR} must be positive, got {jobs}")
-        return jobs
-    return os.cpu_count() or 1
 
 
 def _row_writer(
@@ -209,7 +179,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     check_range(args.pmin, args.pmax)  # before --out is created
-    jobs = _resolve_jobs(args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be positive, got {args.jobs}")
     target = nullcontext(sys.stdout)
     if args.out is not None:
         try:
@@ -233,8 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         summary = verify_range(
             args.pmin,
             args.pmax,
-            jobs=jobs,
-            exact_threshold=args.exact_threshold,
+            jobs=args.jobs,
             record_sink=lambda rec: write([record_row(rec)]),
             progress=None if args.quiet else progress,
         )
@@ -253,7 +223,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     p = args.p
-    hits = search_numerator_divisor(p, args.nmax, budget=args.budget)
+    hits = search_numerator_divisor(p, args.nmax)
     fmt = _resolve_format(args.format, sys.stdout)
     if fmt == "human" and not hits:
         print(f"no n <= {args.nmax} with {p} | numerator(A_n)")

@@ -25,11 +25,10 @@ from .rationals import alternating_exact, residue_of
 from .modfield import _inverse_range  # noqa: F401
 from .rationals import _merge  # noqa: F401
 
-# Exact cross-checks cover every witness index up to here by default, i.e.
-# all p <= 3001, without dominating the runtime of large range runs.
+# Exact cross-checks cover every witness index up to here, i.e. all
+# p <= 3001, without dominating the runtime of large range runs.  The name
+# keeps its DEFAULT_ prefix because it is a package export.
 DEFAULT_EXACT_THRESHOLD = 2000
-
-DEFAULT_SEARCH_BUDGET = 100_000
 
 _SHARD_WIDTH = 8192
 
@@ -93,12 +92,12 @@ def record_to_json(rec: WitnessRecord) -> str:
     return row_to_json(RECORD_FIELDS, record_row(rec))
 
 
-def verify_prime(p: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> WitnessRecord:
+def verify_prime(p: int) -> WitnessRecord:
     """Check A_n = 0 mod p for the constructive witness n of p.
 
     The residue comes from the modular tail evaluation; when
-    n <= exact_threshold it must also agree with the exact rational oracle,
-    and any disagreement aborts with ConsistencyError.  ok=False is a
+    n <= DEFAULT_EXACT_THRESHOLD it must also agree with the exact rational
+    oracle, and any disagreement aborts with ConsistencyError.  ok=False is a
     counterexample report, never an exception.
     """
     n, case = linked_index(p)
@@ -109,7 +108,7 @@ def verify_prime(p: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Witn
     if case is FormCase.EVEN and n % 4 != 0:
         raise ConsistencyError(f"even witness n={n} for p={p} is not 0 mod 4")
     residue = alternating_mod(n, pm).value
-    exact_checked = n <= exact_threshold
+    exact_checked = n <= DEFAULT_EXACT_THRESHOLD
     if exact_checked:
         exact = residue_of(alternating_exact(n), pm).value
         if exact != residue:
@@ -144,10 +143,10 @@ def check_range(pmin: int, pmax: int) -> None:
         raise ValueError(f"pmax={pmax} is not below 2^32, the limit of verify ranges")
 
 
-def _verify_shard(args: Tuple[int, int, int]) -> Tuple[List[WitnessRecord], float]:
-    lo, hi, exact_threshold = args
+def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
+    lo, hi = args
     t0 = time.perf_counter()
-    recs = [verify_prime(p, exact_threshold) for p in odd_primes_iter(lo, hi)]
+    recs = [verify_prime(p) for p in odd_primes_iter(lo, hi)]
     return recs, time.perf_counter() - t0
 
 
@@ -156,7 +155,6 @@ def verify_range(
     pmax: int,
     *,
     jobs: int = 1,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     record_sink: Optional[Callable[[WitnessRecord], None]] = None,
     progress: Optional[Callable[[int, int, int, float], None]] = None,
 ) -> RangeSummary:
@@ -176,7 +174,7 @@ def verify_range(
         summary.skipped.append((3, "proof inapplicable"))
 
     shard_args = [
-        (lo, min(lo + _SHARD_WIDTH - 1, pmax), exact_threshold)
+        (lo, min(lo + _SHARD_WIDTH - 1, pmax))
         for lo in range(max(pmin, 5), pmax + 1, _SHARD_WIDTH)
     ]
 
@@ -186,7 +184,7 @@ def verify_range(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         shards = (pool.map if pool else map)(_verify_shard, shard_args)
-        for (lo, hi, _), (recs, seconds) in zip(shard_args, shards):
+        for (lo, hi), (recs, seconds) in zip(shard_args, shards):
             for rec in recs:
                 if rec.ok:
                     summary.verified_count += 1
@@ -206,9 +204,7 @@ def verify_range(
     return summary
 
 
-def search_numerator_divisor(
-    p: int, nmax: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> List[int]:
+def search_numerator_divisor(p: int, nmax: int) -> List[int]:
     """Every n <= nmax with p dividing the reduced numerator of A_n.
 
     One integer scan modulo p^(L+1), L = floor(log_p nmax) (Boyd's p-adic
@@ -222,8 +218,6 @@ def search_numerator_divisor(
     PrimeModulus(p)  # rejects p that is not an odd prime
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
-    if nmax > budget:
-        raise ValueError(f"nmax={nmax} exceeds the search budget {budget}")
 
     top = 1  # p^L
     while top * p <= nmax:

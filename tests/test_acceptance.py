@@ -80,7 +80,7 @@ def test_criterion_3_theorem_small_exhaustive():
     t0 = time.perf_counter()
     primes = [p for p in oracles.primes_upto_trial(3001) if p >= 5]
     for p in primes:
-        rec = verify_prime(p, exact_threshold=2000)
+        rec = verify_prime(p)
         assert rec.exact_checked, f"p={p}: witness n={rec.n} missed the exact cross-check"
         assert rec.ok and rec.residue == 0, f"counterexample at p={p}?!"
     elapsed = time.perf_counter() - t0

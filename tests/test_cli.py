@@ -5,22 +5,27 @@ import sys
 
 import pytest
 
+import altharm
 import oracles
 from altharm import cli, engine, modfield
 from altharm.engine import FormCase, WitnessRecord
 from altharm.rationals import alternating_exact
 
 
-def run_cli(*args, env_extra=None):
+def child_env():
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(altharm.__file__))
     env = dict(os.environ)
-    env.pop("ALTHARM_JOBS", None)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "altharm", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=300,
     )
 
@@ -161,25 +166,6 @@ def test_verify_jobs_byte_identical():
         assert r.stdout == base.stdout
 
 
-def test_verify_env_jobs_fallback():
-    r = run_cli(
-        "verify", "--pmin", "3", "--pmax", "1000", "--quiet",
-        env_extra={"ALTHARM_JOBS": "2"},
-    )
-    assert r.returncode == 0
-    base = run_cli("verify", "--pmin", "3", "--pmax", "1000", "--quiet")
-    assert r.stdout == base.stdout
-
-
-def test_verify_env_jobs_invalid():
-    r = run_cli(
-        "verify", "--pmin", "3", "--pmax", "10", "--quiet",
-        env_extra={"ALTHARM_JOBS": "many"},
-    )
-    assert r.returncode == 2
-    assert "ALTHARM_JOBS" in r.stderr
-
-
 def test_verify_inverted_range():
     r = run_cli("verify", "--pmin", "10", "--pmax", "5")
     assert r.returncode == 2
@@ -208,13 +194,20 @@ def test_verify_inverted_range():
         (["verify", "--pmin", "18446744073709551000", "--pmax", "18446744073709551557",
           "--format", "csv", "--out", "{out}"],
          "2^32"),
+        (["verify", "--pmin", "5", "--pmax", "50", "--jobs", "0", "--format", "csv",
+          "--out", "{out}"],
+         "--jobs must be positive"),
+        (["verify", "--pmin", "5", "--pmax", "50", "--jobs", "-2", "--format", "csv",
+          "--out", "{out}"],
+         "--jobs must be positive"),
         # a 2.4 TiB tail: the allocation fails at once
         (["witness", "1000000000039"], "out of memory"),
     ],
     ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
          "witness-3", "pair-check-2", "pair-check-3", "pair-check-composite",
          "pair-check-1", "verify-inverted", "verify-past-2^64",
-         "verify-below-2^64", "witness-out-of-memory"],
+         "verify-below-2^64", "verify-jobs-0", "verify-jobs-negative",
+         "witness-out-of-memory"],
 )
 def test_invalid_input_writes_nothing(tmp_path, args, rule):
     out = tmp_path / "records.csv"
@@ -236,12 +229,10 @@ def test_invalid_input_writes_nothing(tmp_path, args, rule):
 def test_closed_stdout_exits_141(tmp_path, args):
     # `altharm ... | head -1`: the reader takes one line and closes the pipe;
     # both commands write far more than a pipe holds
-    env = dict(os.environ)
-    env.pop("ALTHARM_JOBS", None)
     with open(tmp_path / "stderr", "w+") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "altharm", *args],
-            stdout=subprocess.PIPE, stderr=err, env=env,
+            stdout=subprocess.PIPE, stderr=err, env=child_env(),
         )
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -334,10 +325,12 @@ def test_search_csv_and_human():
     assert "no n <= 50" in r.stdout
 
 
-def test_search_budget():
-    r = run_cli("search", "5", "--nmax", "200", "--budget", "100")
-    assert r.returncode == 2
-    assert "budget" in r.stderr
+def test_search_has_no_nmax_bound():
+    # the scan is linear, so nmax past 10^5 is accepted
+    r = run_cli("search", "7", "--nmax", "100001", "--format", "csv")
+    assert r.returncode == 0, r.stderr
+    hits = [int(ln.split(",")[1]) for ln in r.stdout.splitlines()[1:]]
+    assert hits[:7] == [4, 30, 34, 210, 214, 241, 1499]
 
 
 def test_pair_check():
@@ -371,7 +364,7 @@ def test_failing_record_yields_exit_one(monkeypatch, capsys):
     fake = WitnessRecord(
         p=11, n=7, case=FormCase.ODD, residue=5, exact_checked=False, ok=False
     )
-    monkeypatch.setattr(cli, "verify_prime", lambda p, *a, **k: fake)
+    monkeypatch.setattr(cli, "verify_prime", lambda p: fake)
     assert cli.main(["witness", "11", "--format", "jsonl"]) == 1
     out = capsys.readouterr().out
     assert '"ok":false' in out
@@ -384,6 +377,10 @@ def test_no_command_is_usage_error():
 
 _VERIFY_3_30 = [(5, 3, "odd"), (7, 4, "even"), (11, 7, "odd"), (13, 8, "even"),
                 (17, 11, "odd"), (19, 12, "even"), (23, 15, "odd"), (29, 19, "odd")]
+
+# exact_checked flips between n = 2000 (p = 3001) and n = 2007 (p = 3011)
+_VERIFY_2999_3011 = [(2999, 1999, "odd", True), (3001, 2000, "even", True),
+                     (3011, 2007, "odd", False)]
 
 _STDOUT = {
     ("witness 11", "jsonl"):
@@ -416,6 +413,19 @@ _STDOUT = {
     ("verify --pmin 3 --pmax 30 --quiet", "human"): "".join(
         f"p={p} n={n} case={c}: A_n residue 0 (exact+modular) -> ok\n"
         for p, n, c in _VERIFY_3_30),
+    ("verify --pmin 2999 --pmax 3011 --quiet", "jsonl"): "".join(
+        f'{{"p":{p},"n":{n},"case":"{c}","residue":0,'
+        f'"exact_checked":{str(x).lower()},"ok":true}}\n'
+        for p, n, c, x in _VERIFY_2999_3011),
+    ("verify --pmin 2999 --pmax 3011 --quiet", "csv"):
+        "p,n,case,residue,exact_checked,ok\n"
+        "2999,1999,odd,0,true,true\n"
+        "3001,2000,even,0,true,true\n"
+        "3011,2007,odd,0,false,true\n",
+    ("verify --pmin 2999 --pmax 3011 --quiet", "human"):
+        "p=2999 n=1999 case=odd: A_n residue 0 (exact+modular) -> ok\n"
+        "p=3001 n=2000 case=even: A_n residue 0 (exact+modular) -> ok\n"
+        "p=3011 n=2007 case=odd: A_n residue 0 (modular) -> ok\n",
 }
 
 

@@ -118,10 +118,15 @@ def test_verify_prime_proves_primality_once(monkeypatch):
 
 
 def test_verify_prime_threshold_controls_exact_check():
-    rec = verify_prime(11, exact_threshold=0)
+    # the threshold is the witness index of p = 3001; the next prime's is past it
+    assert engine.DEFAULT_EXACT_THRESHOLD == 2000
+    rec = verify_prime(3001)
+    assert rec.n == 2000
+    assert rec.exact_checked is True
+    rec = verify_prime(3011)
+    assert rec.n == 2007
     assert rec.exact_checked is False
     assert rec.ok is True
-    assert verify_prime(11, exact_threshold=7).exact_checked is True
 
 
 def test_record_serialization():
@@ -287,8 +292,6 @@ def test_search_validation():
         search_numerator_divisor(9, 10)
     with pytest.raises(ValueError):
         search_numerator_divisor(5, 0)
-    with pytest.raises(ValueError, match="budget"):
-        search_numerator_divisor(5, 1001, budget=1000)
 
 
 def test_every_exported_name_resolves():
