@@ -3,10 +3,10 @@
 For an odd prime p >= 5, 2p-1 is 0 or 1 mod 3 (2 mod 3 would force 3 | p),
 which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
-by p; verify_prime/verify_range check this for real, modularly and (below a
-threshold) against the exact rational oracle.  p = 3 is the one odd prime
-the construction misses, so search_numerator_divisor provides an empirical
-probe instead of a claim.
+by p; verify_prime (a numpy tail fold) and verify_range (a remainder tree,
+Lehmer-checked) check this for real, and below a threshold against the exact
+rational oracle.  p = 3 is the one odd prime the construction misses, so
+search_numerator_divisor provides an empirical probe instead of a claim.
 """
 
 import json
@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .modfield import FormCase, PrimeModulus, alternating_mod, linked_index, linked_prime
+from .modfield import FormCase, PrimeModulus, alternating_mod, harmonic_prefixes_mod
+from .modfield import linked_index, linked_prime
 from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, residue_of
@@ -92,22 +93,15 @@ def record_to_json(rec: WitnessRecord) -> str:
     return row_to_json(RECORD_FIELDS, record_row(rec))
 
 
-def verify_prime(p: int) -> WitnessRecord:
-    """Check A_n = 0 mod p for the constructive witness n of p.
-
-    The residue comes from the modular tail evaluation; when
-    n <= DEFAULT_EXACT_THRESHOLD it must also agree with the exact rational
-    oracle, and any disagreement aborts with ConsistencyError.  ok=False is a
-    counterexample report, never an exception.
-    """
+def _witness_record(p: int, tail: Callable[[int, PrimeModulus], int]) -> WitnessRecord:
+    """p's record, A_n mod p from tail(n, pm), with the checks every record gets."""
     n, case = linked_index(p)
     pm = PrimeModulus(p)  # the one primality proof: a composite p raises here
-    # these congruences are forced by the linkage; breaking one is a bug
-    if case is FormCase.ODD and n % 4 != 3:
-        raise ConsistencyError(f"odd witness n={n} for p={p} is not 3 mod 4")
-    if case is FormCase.EVEN and n % 4 != 0:
-        raise ConsistencyError(f"even witness n={n} for p={p} is not 0 mod 4")
-    residue = alternating_mod(n, pm).value
+    # the linkage forces n = 3 (odd case) or 0 (even case) mod 4; else it is a bug
+    want = 3 if case is FormCase.ODD else 0
+    if n % 4 != want:
+        raise ConsistencyError(f"{case.value} witness n={n} for p={p} is not {want} mod 4")
+    residue = tail(n, pm)
     exact_checked = n <= DEFAULT_EXACT_THRESHOLD
     if exact_checked:
         exact = residue_of(alternating_exact(n), pm).value
@@ -119,6 +113,14 @@ def verify_prime(p: int) -> WitnessRecord:
         p=p, n=n, case=case, residue=residue, exact_checked=exact_checked,
         ok=(residue == 0),
     )
+
+
+def verify_prime(p: int) -> WitnessRecord:
+    """Check A_n = 0 mod p for the constructive witness n of p by one numpy tail
+    fold; when n <= DEFAULT_EXACT_THRESHOLD the exact rational oracle must agree,
+    or ConsistencyError aborts.  ok=False is a counterexample report, never an
+    exception."""
+    return _witness_record(p, lambda n, pm: alternating_mod(n, pm).value)
 
 
 @dataclass
@@ -144,9 +146,25 @@ def check_range(pmin: int, pmax: int) -> None:
 
 
 def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
+    # One remainder tree gives H_n and H_{floor(n/2)} for every p, and
+    # A_n = H_n - H_{floor(n/2)}.  floor(n/2) = floor(p/3), so Lehmer's
+    # congruence checks the second (a kernel returning 0 fails at every p but
+    # 11 and 1006003).  H_n must not come from it by H_{p-1-k} = H_k mod p:
+    # p-1-n = floor(p/3), so that shortcut is the theorem itself.
     lo, hi = args
     t0 = time.perf_counter()
-    recs = [verify_prime(p) for p in odd_primes_iter(lo, hi)]
+    primes = list(odd_primes_iter(lo, hi))
+    cuts = sorted((c, p) for p in primes for c in (p // 3, linked_index(p)[0]))
+    h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
+
+    def tail(n: int, pm: PrimeModulus) -> int:
+        p, low = pm.p, h[n // 2, pm.p]
+        want = -3 * ((pow(3, p - 1, p * p) - 1) // p) * ((p + 1) // 2) % p  # -(3/2) q_p(3)
+        if low != want:
+            raise ConsistencyError(f"Lehmer mismatch at p={p}: H_{n // 2} = {low} != {want}")
+        return (h[n, p] - low) % p
+
+    recs = [_witness_record(p, tail) for p in primes]
     return recs, time.perf_counter() - t0
 
 

@@ -2,14 +2,15 @@
 
 Covers canonical residues, both directions of the witness linkage p <-> n,
 the tail sum of A_n modulo p, and the pairing check that shows term by term
-why it cancels.  The tail sum is a pairwise fraction fold: adjacent (num, den)
-pairs are added level by level in numpy arrays, int64 while p <= _NUMPY_MAX_P
-and Python ints above that, and one inversion ends it.
+why it cancels.  One prime's tail sum is a pairwise fraction fold in numpy
+(int64 while p <= _NUMPY_MAX_P, Python ints above); a range of primes takes
+its harmonic prefixes from one remainder tree.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from math import prod
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +121,52 @@ def alternating_mod(n: int, p: PrimeModulus) -> Residue:
             f"modulus inside summation range: p={p.p} <= n={n} (need p > n)"
         )
     return Residue(_tail_mod(n // 2 + 1, n, p.p), p)
+
+
+def _span(lo: int, hi: int, m: int) -> Tuple[int, int]:
+    """The product of (k + e) for k in lo..hi in Z[e]/(e^2), as (D, N) = mod m
+    (lo*...*hi, D * (1/lo + ... + 1/hi)), (1, 0) when lo > hi.  Partial
+    products are reduced as they are built, so no long span is ever whole."""
+    if hi - lo < 16:
+        d, n = 1, 0
+        for k in range(lo, hi + 1):
+            d, n = d * k, n * k + d
+        return d, n
+    mid = (lo + hi) // 2
+    return _mul(_span(lo, mid, m), _span(mid + 1, hi, m), m)
+
+
+def _mul(x: Tuple[int, int], y: Tuple[int, int], m: int) -> Tuple[int, int]:
+    """(D1, N1)(D2, N2) = (D1 D2, D1 N2 + N1 D2) mod m."""
+    (d1, n1), (d2, n2) = x, y
+    return d1 * d2 % m, (d1 * n2 + n1 * d2) % m
+
+
+def _descend(cuts: Sequence[int], moduli: Sequence[int], lo: int, v: tuple, root: int) -> tuple:
+    """The product of the spans (lo, cuts[-1]] mod root, and H_c mod m for each
+    cut c and its m, v being the prefix up to lo mod the product of the
+    distinct moduli (primes, so also their lcm)."""
+    if len(cuts) == 1:
+        span = _span(lo + 1, cuts[0], root)
+        d, n = _mul(v, span, moduli[0])
+        return span, [n * pow(d, -1, moduli[0]) % moduli[0]]
+    h = len(cuts) // 2
+    left, out = _descend(cuts[:h], moduli[:h], lo, _mul(v, (1, 0), prod(set(moduli[:h]))), root)
+    v = _mul(v, left, prod(set(moduli[h:])))
+    right, more = _descend(cuts[h:], moduli[h:], cuts[h - 1], v, root)
+    return _mul(left, right, root), out + more
+
+
+def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[int]:
+    """H_c mod m for each cut c and its modulus m, H_c = 1 + 1/2 + ... + 1/c.
+
+    cuts ascend, and each m is a prime above its c.  One accumulating remainder
+    tree (Costa, Gerbicz and Harvey, Math. Comp. 83, 2014): a leaf is the span
+    (c', c] of the product of (k + e) from the cut before, whose prefix up to c
+    is (c!, c! H_c).  Going down, a left child gets its parent's prefix mod its
+    own moduli, a right child that prefix times its left sibling's spans.
+    """
+    return _descend(cuts, moduli, 0, (1, 0), prod(set(moduli)))[1] if cuts else []
 
 
 def _inverse_range(lo: int, hi: int, p: int) -> List[int]:

@@ -2,9 +2,11 @@
 
 Nothing here imports the package under test: sums are term-by-term stdlib
 Fraction arithmetic, primality is trial division, inverses are linear scans.
-Slow on purpose.
+Slow on purpose.  child_env sets up the CLI's child processes.
 """
 
+import importlib.util
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -101,3 +103,15 @@ def numerator_divisor_hits_bruteforce(p: int, nmax: int) -> list:
         if total.numerator % p == 0:
             hits.append(n)
     return hits
+
+
+def child_env() -> dict:
+    """This environment, with the directory holding the altharm package this
+    process would import first on PYTHONPATH, so a `python -m altharm` child
+    finds the same package, installed or not.  Locating it imports nothing."""
+    package = importlib.util.find_spec("altharm").submodule_search_locations[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(package), env.get("PYTHONPATH")])
+    )
+    return env

@@ -143,7 +143,7 @@ def test_criterion_6_p3_edge():
         witness_index(3)
     r = subprocess.run(
         [sys.executable, "-m", "altharm", "witness", "3"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=oracles.child_env(),
     )
     assert r.returncode == 2
     assert "inapplicable" in r.stderr

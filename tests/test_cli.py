@@ -1,23 +1,13 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import altharm
 import oracles
 from altharm import cli, engine, modfield
 from altharm.engine import FormCase, WitnessRecord
 from altharm.rationals import alternating_exact
-
-
-def child_env():
-    # the child imports the package this process imported, installed or not
-    src = os.path.dirname(os.path.dirname(altharm.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run_cli(*args):
@@ -25,7 +15,7 @@ def run_cli(*args):
         [sys.executable, "-m", "altharm", *args],
         capture_output=True,
         text=True,
-        env=child_env(),
+        env=oracles.child_env(),
         timeout=300,
     )
 
@@ -232,7 +222,7 @@ def test_closed_stdout_exits_141(tmp_path, args):
     with open(tmp_path / "stderr", "w+") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "altharm", *args],
-            stdout=subprocess.PIPE, stderr=err, env=child_env(),
+            stdout=subprocess.PIPE, stderr=err, env=oracles.child_env(),
         )
         assert proc.stdout.readline()
         proc.stdout.close()

@@ -2,9 +2,10 @@ import pytest
 
 import oracles
 import altharm
-from altharm import engine, modfield
+from altharm import cli, engine, modfield
 from altharm.engine import (
     RECORD_FIELDS,
+    ConsistencyError,
     FormCase,
     ProofInapplicableError,
     WitnessRecord,
@@ -180,6 +181,73 @@ def test_verify_range_jobs_do_not_change_records():
         recs = []
         verify_range(3, 20_000, jobs=jobs, record_sink=recs.append)
         assert recs == base
+
+
+def _records(pmin, pmax):
+    recs = []
+    verify_range(pmin, pmax, record_sink=recs.append)
+    return recs
+
+
+def test_verify_range_tree_agrees_with_verify_prime_fold():
+    # two kernels: verify_range's remainder tree and verify_prime's numpy fold.
+    # 5..16416 is three shards, the last holding one prime (16411)
+    assert [p for p in oracles.primes_upto_trial(16416) if p >= 16389] == [16411]
+    for pmax in (20_000, 16416):
+        recs = _records(5, pmax)
+        assert recs == [verify_prime(p) for p in oracles.primes_upto_trial(pmax) if p >= 5]
+    # the 150 primes from 1000003, as in the benchmark's long-tail workload
+    recs = _records(1_000_003, 1_001_981)
+    assert len(recs) == 150
+    assert recs == [verify_prime(rec.p) for rec in recs]
+
+
+def _lehmer(p):
+    # H_{floor(p/3)} = -(3/2) q_p(3) mod p, q_p(3) = (3^(p-1) - 1)/p (E. Lehmer, 1938)
+    return -3 * ((pow(3, p - 1, p * p) - 1) // p) * pow(2, -1, p) % p
+
+
+def test_tree_matches_lehmers_congruence():
+    primes = [p for p in oracles.primes_upto_trial(3001) if p >= 5]
+    for chunk in (primes, [1_006_003]):
+        got = modfield.harmonic_prefixes_mod([p // 3 for p in chunk], chunk)
+        assert got == [_lehmer(p) for p in chunk]
+    assert oracles.tail_sum_mod(1, 1_006_003 // 3, 1_006_003) == 0
+    # the base-3 Wieferich primes: the closed form is 0 there and only there
+    assert [p for p in primes if _lehmer(p) == 0] == [11]
+    assert _lehmer(1_006_003) == 0
+
+
+def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
+    # every residue of a witness is 0, so a kernel that returns only zeros
+    # would pass every record above the exact threshold; Lehmer's check
+    # fails it at the first prime
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [0] * len(cuts))
+    with pytest.raises(ConsistencyError, match="Lehmer mismatch at p=5:"):
+        verify_range(5, 20_000)
+
+
+def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
+    # a counterexample at the seam: H_n of p = 3011 (n = 2007, past the exact
+    # threshold) is off by one, while its H_{floor(p/3)} keeps Lehmer's value
+    real = modfield.harmonic_prefixes_mod
+
+    def off_by_one(cuts, moduli):
+        hs = real(cuts, moduli)
+        return [(h + ((c, m) == (2007, 3011))) % m for c, m, h in zip(cuts, moduli, hs)]
+
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)
+    recs = []
+    summary = verify_range(3001, 3100, record_sink=recs.append)
+    bad = [rec for rec in recs if not rec.ok]
+    assert bad == [WitnessRecord(p=3011, n=2007, case=FormCase.ODD, residue=1,
+                                 exact_checked=False, ok=False)]
+    assert (summary.failure_count, summary.verified_count) == (1, len(recs) - 1)
+    argv = ["verify", "--pmin", "3001", "--pmax", "3100", "--jobs", "1", "--format", "jsonl"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert '{"p":3011,"n":2007,"case":"odd","residue":1,"exact_checked":false,"ok":false}' in out
+    assert "failures=1" in err
 
 
 def test_verify_range_progress_callback():

@@ -12,6 +12,7 @@ from altharm.modfield import (
     _inverse_range,
     _tail_mod,
     alternating_mod,
+    harmonic_prefixes_mod,
     pairing_defect,
 )
 from altharm.engine import classify_index
@@ -92,6 +93,69 @@ def test_kernel_paths_agree_across_the_width_boundary():
         want = oracles.tail_sum_mod(lo, hi, p)
         assert want != 0
         assert _tail_mod(lo, hi, p) == want
+
+
+# Cuts alternate below and above this, so short leaf spans meet long ones,
+# whose partial products pass the moduli's product and are reduced as built.
+_LONG_SPAN = 512
+
+
+def _random_prefix_case(rng, leaves, primes):
+    # ascending cuts, each below its own prime
+    pairs = []
+    for i in range(leaves):
+        if i % 2:
+            p = rng.choice([q for q in primes if q > 2 * _LONG_SPAN])
+            pairs.append((rng.randrange(_LONG_SPAN + 1, p), p))
+        else:
+            p = rng.choice(primes)
+            pairs.append((rng.randrange(1, min(_LONG_SPAN, p)), p))
+    pairs.sort()
+    return [c for c, _ in pairs], [p for _, p in pairs]
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 3, 4, 5, 7, 16, 33])
+def test_harmonic_prefixes_mod_matches_both_oracles(leaves):
+    # H_c mod m against the one-inverse-per-term sum and the numpy fold, on
+    # random cuts whose answers are almost all nonzero
+    rng = random.Random(leaves)
+    primes = [p for p in oracles.primes_upto_trial(5_000) if p > 2]
+    for _ in range(4):
+        cuts, moduli = _random_prefix_case(rng, leaves, primes)
+        got = harmonic_prefixes_mod(cuts, moduli)
+        want = [oracles.tail_sum_mod(1, c, m) for c, m in zip(cuts, moduli)]
+        assert got == want == [_tail_mod(1, c, m) for c, m in zip(cuts, moduli)]
+        assert sum(w != 0 for w in want) >= leaves - 1
+
+
+def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
+    # a shard's cuts, floor(p/3) and n, with n moved down by one so that the
+    # tail H_{n-1} - H_{floor(p/3)} is no longer 0: moduli near 10^6, leaf
+    # spans of 17 to 333000 terms, 13 leaves (an odd count), each p twice
+    primes = [p for p in range(1_000_003, 1_000_100, 2) if is_prime(p)][:6]
+    pairs = sorted((c, p) for p in primes for c in (p // 3, (2 * p - 1) // 3 - 1))
+    pairs.insert(0, (17, primes[-1]))
+    cuts, moduli = [c for c, _ in pairs], [p for _, p in pairs]
+    h = dict(zip(pairs, harmonic_prefixes_mod(cuts, moduli)))
+    assert h[17, primes[-1]] == oracles.tail_sum_mod(1, 17, primes[-1])
+    for p in primes:
+        low, top = p // 3, (2 * p - 1) // 3 - 1
+        assert h[low, p] == _tail_mod(1, low, p) != 0
+        tail = _tail_mod(low + 1, top, p)
+        assert tail != 0
+        assert (h[top, p] - h[low, p]) % p == tail
+    # one long prefix against the one-inverse-per-term sum as well
+    p = primes[0]
+    assert h[p // 3, p] == oracles.tail_sum_mod(1, p // 3, p)
+
+
+def test_harmonic_prefixes_mod_edges():
+    assert harmonic_prefixes_mod([], []) == []
+    # H_0 = 0, equal cuts (an empty span), and a cut one below its modulus,
+    # where H_{p-1} = 0 mod p (Wolstenholme, p > 3) and H_{p-2} = 1
+    assert harmonic_prefixes_mod([0, 3, 3, 11, 12], [13, 7, 5, 13, 13]) == [
+        0, 11 * pow(6, -1, 7) % 7, 11 * pow(6, -1, 5) % 5, 1, 0,
+    ]
 
 
 @pytest.mark.parametrize("n,p,want", [(7, 11, 0), (4, 7, 0), (2, 5, 3)])
