@@ -2,7 +2,8 @@
 verification, numerator-divisor search, and the pairing demonstration.
 
 Exit codes: 0 all checks passed; 1 a verification produced ok=false;
-2 usage or validation error, or out of memory; 141 stdout was closed early.
+2 usage or validation error, or out of memory; 3 an internal consistency
+check failed (a bug, not a counterexample); 141 stdout was closed early.
 With jsonl/csv formats stdout carries only records; progress and summaries
 go to stderr.
 """
@@ -15,6 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .engine import (
     RECORD_FIELDS,
+    ConsistencyError,
     check_range,
     record_row,
     row_to_csv,
@@ -31,6 +33,7 @@ DEFAULT_EXACT_BUDGET = 10**6
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 
 
@@ -266,6 +269,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"altharm: error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_USAGE
+    except ConsistencyError as exc:
+        # records already written stay; exit 1 would read as a counterexample
+        print(f"altharm: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull so the
         # interpreter's own flush at exit does not raise again

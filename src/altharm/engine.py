@@ -3,7 +3,7 @@
 For an odd prime p >= 5, 2p-1 is 0 or 1 mod 3 (2 mod 3 would force 3 | p),
 which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
-by p; verify_prime (a numpy tail fold) and verify_range (a remainder tree,
+by p; verify_prime (one tail span) and verify_range (a remainder tree,
 Lehmer-checked) check this for real, and below a threshold against the exact
 rational oracle.  p = 3 is the one odd prime the construction misses, so
 search_numerator_divisor provides an empirical probe instead of a claim.
@@ -32,6 +32,11 @@ from .rationals import _merge  # noqa: F401
 DEFAULT_EXACT_THRESHOLD = 2000
 
 _SHARD_WIDTH = 8192
+
+# verify_prime and verify_range refuse p from here on before any work.  This
+# refuses nothing that could finish: a p just below 2^32 needs a tail of about
+# 1.4e9 terms (minutes), and it keeps the sieve's base-prime mask small.
+_P_LIMIT = 1 << 32
 
 
 class ConsistencyError(RuntimeError):
@@ -116,10 +121,12 @@ def _witness_record(p: int, tail: Callable[[int, PrimeModulus], int]) -> Witness
 
 
 def verify_prime(p: int) -> WitnessRecord:
-    """Check A_n = 0 mod p for the constructive witness n of p by one numpy tail
-    fold; when n <= DEFAULT_EXACT_THRESHOLD the exact rational oracle must agree,
-    or ConsistencyError aborts.  ok=False is a counterexample report, never an
-    exception."""
+    """Check A_n = 0 mod p for the constructive witness n of p by one tail span;
+    when n <= DEFAULT_EXACT_THRESHOLD the exact rational oracle must agree, or
+    ConsistencyError aborts.  ok=False is a counterexample report, never an
+    exception.  p must be below 2^32."""
+    if p >= _P_LIMIT:
+        raise ValueError(f"p={p} is not below 2^32, the limit of witness checks")
     return _witness_record(p, lambda n, pm: alternating_mod(n, pm).value)
 
 
@@ -136,12 +143,10 @@ class RangeSummary:
 
 
 def check_range(pmin: int, pmax: int) -> None:
-    """Reject a range verify_range cannot run: pmin > pmax, or pmax >= 2^32.
-    The cap refuses no run that could finish (one prime near 2^32 needs a tail
-    of about 1.4e9 terms) and keeps the sieve's base-prime mask small."""
+    """Reject a range verify_range cannot run: pmin > pmax, or pmax >= 2^32."""
     if pmin > pmax:
         raise ValueError(f"empty range: pmin={pmin} > pmax={pmax}")
-    if pmax >= 1 << 32:
+    if pmax >= _P_LIMIT:
         raise ValueError(f"pmax={pmax} is not below 2^32, the limit of verify ranges")
 
 

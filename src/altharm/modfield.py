@@ -2,17 +2,15 @@
 
 Covers canonical residues, both directions of the witness linkage p <-> n,
 the tail sum of A_n modulo p, and the pairing check that shows term by term
-why it cancels.  One prime's tail sum is a pairwise fraction fold in numpy
-(int64 while p <= _NUMPY_MAX_P, Python ints above); a range of primes takes
-its harmonic prefixes from one remainder tree.
+why it cancels.  One prime's tail sum is one product span in Z[e]/(e^2)
+(_span); a range of primes takes its harmonic prefixes from one remainder
+tree built from the same spans.
 """
 
 import enum
 from dataclasses import dataclass
 from math import prod
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .primes import is_prime
 
@@ -84,35 +82,12 @@ def linked_index(p: int) -> Tuple[int, FormCase]:
     return n, linked_prime(n)[1]
 
 
-# Largest modulus for which two residues multiply without overflowing int64.
-_NUMPY_MAX_P = 3_037_000_499
-
-
-def _tail_mod(lo: int, hi: int, p: int) -> int:
-    """Sum of 1/k mod p for k in lo..hi; requires 0 < lo <= hi < p.
-
-    The terms start as (num, den) = (1, k); each level adds adjacent pairs,
-    a/b + c/d = (ad + cb)/(bd) mod p, padding an odd-length level with 0/1.
-    int64 holds every product while p <= _NUMPY_MAX_P; above it, Python ints.
-    """
-    den = np.arange(lo, hi + 1, dtype=np.int64 if p <= _NUMPY_MAX_P else object)
-    num = np.ones_like(den)
-    while den.size > 1:
-        if den.size % 2:
-            num = np.append(num, 0)
-            den = np.append(den, 1)
-        a, b, c, d = num[0::2], den[0::2], num[1::2], den[1::2]
-        num = (a * d % p + c * b % p) % p
-        den = b * d % p
-    return int(num[0]) * pow(int(den[0]), -1, p) % p
-
-
 def alternating_mod(n: int, p: PrimeModulus) -> Residue:
     """Residue of the alternating harmonic sum A_n modulo p, for p > n.
 
-    Evaluates the tail form A_n = 1/(floor(n/2)+1) + ... + 1/n with one
-    pairwise fraction fold; p > n makes every term a unit.  Refuses p <= n,
-    where 1/p has no meaning mod p.
+    Evaluates the tail form A_n = 1/(floor(n/2)+1) + ... + 1/n as one span
+    (D, D * tail) and one inverse of D; p > n makes every term a unit.
+    Refuses p <= n, where 1/p has no meaning mod p.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -120,7 +95,8 @@ def alternating_mod(n: int, p: PrimeModulus) -> Residue:
         raise ValueError(
             f"modulus inside summation range: p={p.p} <= n={n} (need p > n)"
         )
-    return Residue(_tail_mod(n // 2 + 1, n, p.p), p)
+    d, t = _span(n // 2 + 1, n, p.p)
+    return Residue(t * pow(d, -1, p.p) % p.p, p)
 
 
 def _span(lo: int, hi: int, m: int) -> Tuple[int, int]:

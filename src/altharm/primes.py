@@ -2,11 +2,10 @@
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, List
 
-import numpy as np
-
-# Candidates per sieve segment: keeps the working bitmap cache-resident and
+# Candidates per sieve segment: keeps the working mask cache-resident and
 # bounds the mask of any one sieve_range call.
 _SEGMENT_WIDTH = 1 << 20
 
@@ -87,7 +86,7 @@ def sieve_range(r: PrimeRange) -> List[int]:
     if first > r.hi:
         return out
     count = (r.hi - first) // 2 + 1
-    mask = np.ones(count, dtype=bool)
+    mask = bytearray(b"\x01") * count
     # recursion ends: isqrt(hi) < hi for hi >= 2, and nothing is sieved below 3
     for p in odd_primes_iter(0, math.isqrt(r.hi)):
         start = max(p * p, (first + p - 1) // p * p)
@@ -95,8 +94,9 @@ def sieve_range(r: PrimeRange) -> List[int]:
             start += p
         if start > r.hi:
             continue
-        mask[(start - first) // 2 :: p] = False
-    out.extend((first + 2 * np.flatnonzero(mask)).tolist())
+        i = (start - first) // 2
+        mask[i::p] = bytes(len(range(i, count, p)))
+    out.extend(compress(range(first, r.hi + 1, 2), mask))
     return out
 
 

@@ -190,14 +190,14 @@ def test_verify_inverted_range():
         (["verify", "--pmin", "5", "--pmax", "50", "--jobs", "-2", "--format", "csv",
           "--out", "{out}"],
          "--jobs must be positive"),
-        # a 2.4 TiB tail: the allocation fails at once
-        (["witness", "1000000000039"], "out of memory"),
+        # a prime past verify_prime's limit: refused before the tail
+        (["witness", "1000000000039"], "2^32"),
     ],
     ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
          "witness-3", "pair-check-2", "pair-check-3", "pair-check-composite",
          "pair-check-1", "verify-inverted", "verify-past-2^64",
          "verify-below-2^64", "verify-jobs-0", "verify-jobs-negative",
-         "witness-out-of-memory"],
+         "witness-past-2^32"],
 )
 def test_invalid_input_writes_nothing(tmp_path, args, rule):
     out = tmp_path / "records.csv"
@@ -358,6 +358,63 @@ def test_failing_record_yields_exit_one(monkeypatch, capsys):
     assert cli.main(["witness", "11", "--format", "jsonl"]) == 1
     out = capsys.readouterr().out
     assert '"ok":false' in out
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    def exhausted(p):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_prime", exhausted)
+    assert cli.main(["witness", "11", "--format", "jsonl"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "altharm: error: out of memory.\n"
+
+
+def test_consistency_error_exits_three(monkeypatch, capsys):
+    # a kernel fault in the second shard: H_{floor(p/3)} of p = 10007 off by
+    # one fails Lehmer's check; the first shard's records are already out
+    real = modfield.harmonic_prefixes_mod
+
+    def faulty(cuts, moduli):
+        hs = real(cuts, moduli)
+        return [(h + ((c, m) == (3335, 10007))) % m for c, m, h in zip(cuts, moduli, hs)]
+
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", faulty)
+    argv = ["verify", "--pmin", "5", "--pmax", "20000", "--jobs", "1", "--format", "jsonl", "--quiet"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 3
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["p"] for line in out.splitlines()] == [
+        p for p in oracles.primes_upto_trial(8196) if p >= 5
+    ]
+    assert err.startswith("altharm: internal error: Lehmer mismatch at p=10007: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+_NO_NUMPY = "import sys; sys.modules['numpy'] = None; from altharm import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exact", "7"],
+        ["witness", "1000003"],
+        ["verify", "--pmin", "3", "--pmax", "20000", "--jobs", "2", "--format", "jsonl"],
+        ["search", "3", "--nmax", "3000"],
+        ["pair-check", "101", "--format", "csv"],
+    ],
+    ids=["exact", "witness", "verify", "search", "pair-check"],
+)
+def test_no_command_loads_numpy(args):
+    # with numpy's import made to fail, each command gives the same exit code
+    # and stdout bytes as an unblocked run
+    blocked = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, *args],
+        capture_output=True, text=True, env=oracles.child_env(), timeout=300,
+    )
+    plain = run_cli(*args)
+    assert blocked.returncode == plain.returncode == 0, blocked.stderr
+    assert blocked.stdout == plain.stdout
 
 
 def test_no_command_is_usage_error():

@@ -7,16 +7,15 @@ from altharm.modfield import (
     FormCase,
     PrimeModulus,
     Residue,
-    _NUMPY_MAX_P,
     _check_case_linkage,
     _inverse_range,
-    _tail_mod,
+    _span,
     alternating_mod,
     harmonic_prefixes_mod,
     pairing_defect,
 )
 from altharm.engine import classify_index
-from altharm.rationals import alternating_exact, residue_of
+from altharm.rationals import alternating_exact, harmonic_exact, residue_of
 from altharm.primes import is_prime
 
 
@@ -56,43 +55,49 @@ def test_mod_inverse_property_large_modulus():
         assert a * inv % p == 1
 
 
-def _check_tail_against_oracle(primes, seed):
-    # odd, even and power-of-two level sizes exercise the 0/1 padding
+def _span_tail(lo, hi, p):
+    # 1/lo + ... + 1/hi mod p from the span (D, D * tail)
+    d, t = _span(lo, hi, p)
+    return t * pow(d, -1, p) % p
+
+
+def _check_span_tails(primes, seed):
+    # _span and alternating_mod against the one-inverse-per-term sum, on
+    # random and top-of-field windows whose sizes are odd, even and powers of
+    # two, straddling _span's 16-term leaves
     rng = random.Random(seed)
     nonzero = 0
     for p in primes:
+        assert is_prime(p)
         sizes = {1, 2, 3}
-        for k in (2, 6, 10):
+        for k in (2, 4, 6, 10):
             sizes |= {2**k - 1, 2**k, 2**k + 1}
         for size in sorted(s for s in sizes if s < p):
             lo = rng.randrange(1, p - size + 1)
             for a, b in ((lo, lo + size - 1), (p - size, p - 1)):
                 want = oracles.tail_sum_mod(a, b, p)
-                assert _tail_mod(a, b, p) == want, (a, b, p)
+                assert _span_tail(a, b, p) == want, (a, b, p)
                 nonzero += want != 0
+            want = oracles.tail_sum_mod(size // 2 + 1, size, p)
+            assert alternating_mod(size, PrimeModulus(p)).value == want, (size, p)
     return nonzero
 
 
-def test_numpy_kernel_matches_pure_python():
-    # the int64 fold against the pure-Python sum of single inversions
-    primes = (5, 97, 65537, 2**31 - 1, 3_037_000_493)
-    assert all(p <= _NUMPY_MAX_P for p in primes)
-    assert _check_tail_against_oracle(primes, 5) > 40
+def test_span_tails_match_the_oracle():
+    assert _check_span_tails((5, 97, 65537, 2**31 - 1), 5) > 40
 
 
-def test_kernel_paths_agree_across_the_width_boundary():
-    # the int64 fold just below the width limit and the Python-int fold just
-    # above it both match the oracle, on the same tails and a fixed range
-    below = 3_037_000_493  # largest prime <= _NUMPY_MAX_P
-    above = 3_037_000_507  # smallest prime > _NUMPY_MAX_P
-    assert is_prime(below) and below <= _NUMPY_MAX_P
-    assert is_prime(above) and above > _NUMPY_MAX_P
-    assert _check_tail_against_oracle((below, above), 7) > 20
+def test_span_tails_agree_across_the_word_boundary():
+    # moduli either side of 3037000499, past which a product of two residues
+    # leaves a machine word, on the same tails and a 500-term window at 10^6
+    below, above = 3_037_000_493, 3_037_000_507
+    assert below * below < 2**63 <= above * above
+    assert _check_span_tails((below, above), 7) > 20
     for p in (below, above):
         lo, hi = 10**6, 10**6 + 499
         want = oracles.tail_sum_mod(lo, hi, p)
         assert want != 0
-        assert _tail_mod(lo, hi, p) == want
+        assert _span_tail(lo, hi, p) == want
 
 
 # Cuts alternate below and above this, so short leaf spans meet long ones,
@@ -116,15 +121,16 @@ def _random_prefix_case(rng, leaves, primes):
 
 @pytest.mark.parametrize("leaves", [1, 2, 3, 4, 5, 7, 16, 33])
 def test_harmonic_prefixes_mod_matches_both_oracles(leaves):
-    # H_c mod m against the one-inverse-per-term sum and the numpy fold, on
-    # random cuts whose answers are almost all nonzero
+    # H_c mod m against the one-inverse-per-term sum and the exact rational
+    # H_c, on random cuts whose answers are almost all nonzero
     rng = random.Random(leaves)
     primes = [p for p in oracles.primes_upto_trial(5_000) if p > 2]
     for _ in range(4):
         cuts, moduli = _random_prefix_case(rng, leaves, primes)
         got = harmonic_prefixes_mod(cuts, moduli)
         want = [oracles.tail_sum_mod(1, c, m) for c, m in zip(cuts, moduli)]
-        assert got == want == [_tail_mod(1, c, m) for c, m in zip(cuts, moduli)]
+        exact = [residue_of(harmonic_exact(c), PrimeModulus(m)).value for c, m in zip(cuts, moduli)]
+        assert got == want == exact
         assert sum(w != 0 for w in want) >= leaves - 1
 
 
@@ -140,8 +146,8 @@ def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
     assert h[17, primes[-1]] == oracles.tail_sum_mod(1, 17, primes[-1])
     for p in primes:
         low, top = p // 3, (2 * p - 1) // 3 - 1
-        assert h[low, p] == _tail_mod(1, low, p) != 0
-        tail = _tail_mod(low + 1, top, p)
+        assert h[low, p] == _span_tail(1, low, p) != 0
+        tail = _span_tail(low + 1, top, p)
         assert tail != 0
         assert (h[top, p] - h[low, p]) % p == tail
     # one long prefix against the one-inverse-per-term sum as well
