@@ -5,8 +5,9 @@ which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
 by p; verify_prime (one tail span) and verify_range (a remainder tree,
 Lehmer-checked) check this for real, and below a threshold against the exact
-rational oracle.  p = 3 is the one odd prime the construction misses, so
-search_numerator_divisor provides an empirical probe instead of a claim.
+rational oracle: one chained alternating_sweep per range shard, or its
+one-index case, alternating_exact, for one prime.  p = 3 is the one odd prime
+the construction misses, so search_numerator_divisor is an empirical probe.
 """
 
 import json
@@ -20,15 +21,15 @@ from .modfield import FormCase, PrimeModulus, alternating_mod, harmonic_prefixes
 from .modfield import linked_index, linked_prime
 from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
-from .rationals import alternating_exact, residue_of
+from .rationals import alternating_exact, alternating_sweep, residue_of
 
 # Unused here; bench/spans.py patches both names on this module.
 from .modfield import _inverse_range  # noqa: F401
 from .rationals import _merge  # noqa: F401
 
 # Exact cross-checks cover every witness index up to here, i.e. all
-# p <= 3001, without dominating the runtime of large range runs.  The name
-# keeps its DEFAULT_ prefix because it is a package export.
+# p <= 3001.  It stays put because it sets the exact_checked byte of each
+# record; the name keeps its DEFAULT_ prefix because it is a package export.
 DEFAULT_EXACT_THRESHOLD = 2000
 
 _SHARD_WIDTH = 8192
@@ -98,8 +99,8 @@ def record_to_json(rec: WitnessRecord) -> str:
     return row_to_json(RECORD_FIELDS, record_row(rec))
 
 
-def _witness_record(p: int, tail: Callable[[int, PrimeModulus], int]) -> WitnessRecord:
-    """p's record, A_n mod p from tail(n, pm), with the checks every record gets."""
+def _witness_record(p: int, tail: Callable, exact: Callable) -> WitnessRecord:
+    """p's record with every check: tail(n, pm) is A_n mod p, exact(n) the Fraction A_n."""
     n, case = linked_index(p)
     pm = PrimeModulus(p)  # the one primality proof: a composite p raises here
     # the linkage forces n = 3 (odd case) or 0 (even case) mod 4; else it is a bug
@@ -109,10 +110,10 @@ def _witness_record(p: int, tail: Callable[[int, PrimeModulus], int]) -> Witness
     residue = tail(n, pm)
     exact_checked = n <= DEFAULT_EXACT_THRESHOLD
     if exact_checked:
-        exact = residue_of(alternating_exact(n), pm).value
-        if exact != residue:
+        want = residue_of(exact(n), pm).value
+        if want != residue:
             raise ConsistencyError(
-                f"exact/modular mismatch at p={p}, n={n}: {exact} != {residue}"
+                f"exact/modular mismatch at p={p}, n={n}: {want} != {residue}"
             )
     return WitnessRecord(
         p=p, n=n, case=case, residue=residue, exact_checked=exact_checked,
@@ -127,7 +128,7 @@ def verify_prime(p: int) -> WitnessRecord:
     exception.  p must be below 2^32."""
     if p >= _P_LIMIT:
         raise ValueError(f"p={p} is not below 2^32, the limit of witness checks")
-    return _witness_record(p, lambda n, pm: alternating_mod(n, pm).value)
+    return _witness_record(p, lambda n, pm: alternating_mod(n, pm).value, alternating_exact)
 
 
 @dataclass
@@ -159,6 +160,8 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
+    small = [n for n, _ in map(linked_index, primes) if n <= DEFAULT_EXACT_THRESHOLD]
+    exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
     cuts = sorted((c, p) for p in primes for c in (p // 3, linked_index(p)[0]))
     h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
 
@@ -169,7 +172,7 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
             raise ConsistencyError(f"Lehmer mismatch at p={p}: H_{n // 2} = {low} != {want}")
         return (h[n, p] - low) % p
 
-    recs = [_witness_record(p, tail) for p in primes]
+    recs = [_witness_record(p, tail, exact.__getitem__) for p in primes]
     return recs, time.perf_counter() - t0
 
 

@@ -6,15 +6,16 @@ den >= 1, sign on the numerator, zero as 0/1.  The summation routines here
 are the slow, trusted oracle for everything the modular fast paths claim.
 
 Every sum is formed by divide and conquer (binary splitting), which keeps
-intermediate operands near their reduced size.  Left-to-right Fraction
-accumulation, the independent order these sums are checked against, lives
-in the test oracles.
+intermediate operands near their reduced size.  alternating_sweep chains A_n
+over ascending n, one split block per step: a verify shard's exact values
+come from one sweep, and alternating_exact is its one-index case.  The test
+oracles check all this against left-to-right Fraction accumulation.
 """
 
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .modfield import PrimeModulus, Residue
 
@@ -73,13 +74,21 @@ def harmonic_exact(n: int) -> Fraction:
     return Fraction(*_harmonic_pair(1, n))
 
 
+def alternating_sweep(ns: Iterable[int]) -> Iterator[Fraction]:
+    """A_n, reduced, for each n of a nondecreasing ns: the last A plus one _alternating_pair."""
+    num, den, prev = 0, 1, 0
+    for n in ns:
+        if n < prev:
+            raise ValueError(f"n must be nonnegative and nondecreasing, got {n} after {prev}")
+        if n > prev:
+            num, den = _merge(num, den, *_alternating_pair(prev + 1, n))
+        yield Fraction(num, den)
+        prev = n
+
+
 def alternating_exact(n: int) -> Fraction:
     """The alternating sum 1 - 1/2 + 1/3 - ... + (-1)^(n-1)/n, reduced."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return Fraction(0)
-    return Fraction(*_alternating_pair(1, n))
+    return next(alternating_sweep([n]))
 
 
 def tail_exact(lo: int, hi: int) -> Fraction:

@@ -253,6 +253,44 @@ def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
     assert "failures=1" in err
 
 
+def test_range_exact_check_catches_a_wrong_tree_value(monkeypatch):
+    # H_1999 of p = 2999 (n = 1999, inside the exact zone) is off by one, while
+    # its H_{floor(p/3)} keeps Lehmer's value: only the exact check can see it,
+    # in a shard from 2999 and in one from 5 alike
+    real = modfield.harmonic_prefixes_mod
+
+    def off_by_one(cuts, moduli):
+        hs = real(cuts, moduli)
+        return [(h + ((c, m) == (1999, 2999))) % m for c, m, h in zip(cuts, moduli, hs)]
+
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)
+    for pmin, pmax in ((2999, 3011), (5, 3001)):
+        with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=2999"):
+            verify_range(pmin, pmax)
+
+
+def test_range_exact_check_catches_a_wrong_sweep(monkeypatch):
+    # a sweep one index behind hands every prime A_{n-1} = -(-1)^(n-1)/n mod p,
+    # which is not 0, so the first exact-checked record must fail
+    real = engine.alternating_sweep
+    monkeypatch.setattr(engine, "alternating_sweep", lambda ns: real([n - 1 for n in ns]))
+    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=5"):
+        verify_range(5, 3001)
+
+
+@pytest.mark.parametrize("width", [8192, 500])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shards_starting_inside_the_exact_zone(monkeypatch, jobs, width):
+    # each shard sweeps from A_0, whatever its first prime; at width 500 the
+    # shards of [1499, 3011] start at 1499, 1999, 2499 and 2999
+    monkeypatch.setattr(engine, "_SHARD_WIDTH", width)
+    recs = []
+    verify_range(1499, 3011, jobs=jobs, record_sink=recs.append)
+    want = [verify_prime(p) for p in oracles.primes_upto_trial(3011) if p >= 1499]
+    assert recs == want
+    assert [r.exact_checked for r in recs] == [r.p <= 3001 for r in recs]
+
+
 def test_verify_range_progress_callback():
     calls = []
     verify_range(5, 100, progress=lambda lo, hi, k, dt: calls.append((lo, hi, k)))

@@ -10,13 +10,14 @@ from altharm.rationals import (
     NotPAdicIntegerError,
     _merge,
     alternating_exact,
+    alternating_sweep,
     format_decimal,
     format_fraction,
     harmonic_exact,
     residue_of,
     tail_exact,
 )
-from altharm.modfield import PrimeModulus
+from altharm.modfield import PrimeModulus, linked_index
 
 
 @pytest.mark.parametrize("n,want", [(0, "0/1"), (1, "1/1"), (2, "3/2"), (4, "25/12")])
@@ -90,6 +91,47 @@ def test_summation_order_independence():
     for n, (h, a) in enumerate(streams, 1):
         assert harmonic_exact(n) == h
         assert alternating_exact(n) == a
+
+
+# the sweep's blocks (previous n, n] hit every branch of _alternating_pair:
+# one term, two terms from an odd and from an even lo, and blocks of
+# 2^k - 1, 2^k and 2^k + 1 terms on either side of a power-of-two split
+_BLOCKS = [7, 8, 9, 16, 17, 15, 1, 2, 3, 2, 1, 2, 31, 32, 33, 3]
+_SWEEPS = {
+    "empty": [],
+    "zero": [0, 0, 1],
+    "one": [1],
+    "repeated": [1, 1, 2],
+    "consecutive": list(range(1, 40)),
+    "pairs": [2, 4, 5, 7, 8, 10],
+    "split-sizes": [sum(_BLOCKS[:i + 1]) for i in range(len(_BLOCKS))],
+    "repeats-and-gaps": [3, 3, 10, 10, 10, 11, 64, 64, 129],
+}
+
+
+@pytest.mark.parametrize("ns", _SWEEPS.values(), ids=_SWEEPS.keys())
+def test_sweep_matches_one_sum_per_index_and_the_stream_oracle(ns):
+    got = list(alternating_sweep(ns))
+    assert got == [alternating_exact(n) for n in ns]
+    stream = [Fraction(0), *oracles.alternating_stream(max(ns, default=0))]
+    assert got == [stream[n] for n in ns]
+    assert all(math.gcd(x.numerator, x.denominator) == 1 for x in got)
+
+
+def test_sweep_over_the_exact_zone_witness_indices():
+    # the indices a verify shard from 5 sweeps: every p <= 3001, n <= 2000
+    ns = [linked_index(p)[0] for p in oracles.primes_upto_trial(3001) if p >= 5]
+    assert len(ns) == 429 and ns[-1] == 2000
+    stream = [Fraction(0), *oracles.alternating_stream(2000)]
+    got = list(alternating_sweep(ns))
+    assert got == [stream[n] for n in ns]
+    assert got == [alternating_exact(n) for n in ns]
+
+
+@pytest.mark.parametrize("ns", [[-1], [0, -3], [5, 4], [1, 2, 7, 6]])
+def test_sweep_rejects_negative_and_descending_indices(ns):
+    with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
+        list(alternating_sweep(ns))
 
 
 def test_outputs_are_reduced():
