@@ -3,7 +3,7 @@
 For an odd prime p >= 5, 2p-1 is 0 or 1 mod 3 (2 mod 3 would force 3 | p),
 which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
-by p; verify_prime (one tail span) and verify_range (a remainder tree,
+by p; verify_prime (one tail span) and verify_range (a chained prefix fold,
 Lehmer-checked) check this for real, and below a threshold against the exact
 rational oracle: one chained alternating_sweep per range shard, or its
 one-index case, alternating_exact, for one prime.  p = 3 is the one odd prime
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .modfield import FormCase, PrimeModulus, alternating_mod, harmonic_prefixes_mod
-from .modfield import linked_index, linked_prime
+from .modfield import _P_LIMIT, linked_index, linked_prime
 from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, alternating_sweep, residue_of
@@ -33,11 +33,6 @@ from .rationals import _merge  # noqa: F401
 DEFAULT_EXACT_THRESHOLD = 2000
 
 _SHARD_WIDTH = 8192
-
-# verify_prime and verify_range refuse p from here on before any work.  This
-# refuses nothing that could finish: a p just below 2^32 needs a tail of about
-# 1.4e9 terms (minutes), and it keeps the sieve's base-prime mask small.
-_P_LIMIT = 1 << 32
 
 
 class ConsistencyError(RuntimeError):
@@ -152,7 +147,7 @@ def check_range(pmin: int, pmax: int) -> None:
 
 
 def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
-    # One remainder tree gives H_n and H_{floor(n/2)} for every p, and
+    # One chained prefix fold gives H_n and H_{floor(n/2)} for every p, and
     # A_n = H_n - H_{floor(n/2)}.  floor(n/2) = floor(p/3), so Lehmer's
     # congruence checks the second (a kernel returning 0 fails at every p but
     # 11 and 1006003).  H_n must not come from it by H_{p-1-k} = H_k mod p:

@@ -3,8 +3,8 @@
 Covers canonical residues, both directions of the witness linkage p <-> n,
 the tail sum of A_n modulo p, and the pairing check that shows term by term
 why it cancels.  One prime's tail sum is one product span in Z[e]/(e^2)
-(_span); a range of primes takes its harmonic prefixes from one remainder
-tree built from the same spans.
+(_span); a range of primes takes its harmonic prefixes from one chained
+prefix fold of the same spans.
 """
 
 import enum
@@ -13,6 +13,12 @@ from math import prod
 from typing import List, Sequence, Tuple
 
 from .primes import is_prime
+
+# verify_prime, verify_range and pairing_defect refuse p from here on before
+# any work.  For the first two this refuses nothing that could finish: a p
+# just below 2^32 needs a tail of about 1.4e9 terms (minutes), and it keeps
+# the sieve's base-prime mask small.
+_P_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -118,31 +124,19 @@ def _mul(x: Tuple[int, int], y: Tuple[int, int], m: int) -> Tuple[int, int]:
     return d1 * d2 % m, (d1 * n2 + n1 * d2) % m
 
 
-def _descend(cuts: Sequence[int], moduli: Sequence[int], lo: int, v: tuple, root: int) -> tuple:
-    """The product of the spans (lo, cuts[-1]] mod root, and H_c mod m for each
-    cut c and its m, v being the prefix up to lo mod the product of the
-    distinct moduli (primes, so also their lcm)."""
-    if len(cuts) == 1:
-        span = _span(lo + 1, cuts[0], root)
-        d, n = _mul(v, span, moduli[0])
-        return span, [n * pow(d, -1, moduli[0]) % moduli[0]]
-    h = len(cuts) // 2
-    left, out = _descend(cuts[:h], moduli[:h], lo, _mul(v, (1, 0), prod(set(moduli[:h]))), root)
-    v = _mul(v, left, prod(set(moduli[h:])))
-    right, more = _descend(cuts[h:], moduli[h:], cuts[h - 1], v, root)
-    return _mul(left, right, root), out + more
-
-
 def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[int]:
     """H_c mod m for each cut c and its modulus m, H_c = 1 + 1/2 + ... + 1/c.
 
-    cuts ascend, and each m is a prime above its c.  One accumulating remainder
-    tree (Costa, Gerbicz and Harvey, Math. Comp. 83, 2014): a leaf is the span
-    (c', c] of the product of (k + e) from the cut before, whose prefix up to c
-    is (c!, c! H_c).  Going down, a left child gets its parent's prefix mod its
-    own moduli, a right child that prefix times its left sibling's spans.
+    cuts ascend, and each m is a prime above its c.  One chained prefix fold:
+    a running (c!, c! H_c) modulo the product of the distinct moduli (primes,
+    so also their lcm) is extended by the span (c', c] from the cut before,
+    then reduced mod m and read as c! H_c / c!.
     """
-    return _descend(cuts, moduli, 0, (1, 0), prod(set(moduli)))[1] if cuts else []
+    root, v, prev, out = prod(set(moduli)), (1, 0), 0, []
+    for c, m in zip(cuts, moduli):
+        v, prev = _mul(v, _span(prev + 1, c, root), root), c
+        out.append(v[1] % m * pow(v[0] % m, -1, m) % m)
+    return out
 
 
 def _inverse_range(lo: int, hi: int, p: int) -> List[int]:
@@ -155,8 +149,11 @@ def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> List[Residue]:
 
     With lo = floor(n/2)+1 and hi = n, the case linkage makes each pair of
     arguments sum to exactly p, so every returned residue should be zero;
-    the tail length is even, so the pairing covers all summands.
+    the tail length is even, so the pairing covers all summands.  p must be
+    below 2^32: the result holds about p/3 residues.
     """
+    if p.p >= _P_LIMIT:
+        raise ValueError(f"p={p.p} is not below 2^32, the limit of pairing checks")
     _check_case_linkage(n, p.p, case)
     lo = n // 2 + 1
     count = n - lo + 1

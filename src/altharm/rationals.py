@@ -88,6 +88,8 @@ def alternating_sweep(ns: Iterable[int]) -> Iterator[Fraction]:
 
 def alternating_exact(n: int) -> Fraction:
     """The alternating sum 1 - 1/2 + 1/3 - ... + (-1)^(n-1)/n, reduced."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     return next(alternating_sweep([n]))
 
 

@@ -192,12 +192,14 @@ def test_verify_inverted_range():
          "--jobs must be positive"),
         # a prime past verify_prime's limit: refused before the tail
         (["witness", "1000000000039"], "2^32"),
+        # pairing_defect would hold about p/3 inverses: refused before any work
+        (["pair-check", "1000000000039"], "2^32"),
     ],
     ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
          "witness-3", "pair-check-2", "pair-check-3", "pair-check-composite",
          "pair-check-1", "verify-inverted", "verify-past-2^64",
          "verify-below-2^64", "verify-jobs-0", "verify-jobs-negative",
-         "witness-past-2^32"],
+         "witness-past-2^32", "pair-check-past-2^32"],
 )
 def test_invalid_input_writes_nothing(tmp_path, args, rule):
     out = tmp_path / "records.csv"

@@ -190,10 +190,10 @@ def _records(pmin, pmax):
 
 
 def test_verify_range_tree_agrees_with_verify_prime_fold():
-    # verify_range's remainder tree against verify_prime's tail.  Both build
-    # on modfield._span but assemble it differently (a chain of leaves from 0
-    # against one tail span); the independent checks are Lehmer's congruence
-    # below and tests/oracles.py.
+    # verify_range's chained prefix fold against verify_prime's tail.  Both
+    # build on modfield._span but assemble it differently (a chain of spans
+    # from 0 against one tail span); the independent checks are Lehmer's
+    # congruence below and tests/oracles.py.
     # 5..16416 is three shards, the last holding one prime (16411)
     assert [p for p in oracles.primes_upto_trial(16416) if p >= 16389] == [16411]
     for pmax in (20_000, 16416):
