@@ -3,11 +3,12 @@
 For an odd prime p >= 5, 2p-1 is 0 or 1 mod 3 (2 mod 3 would force 3 | p),
 which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
-by p; verify_prime (one tail span) and verify_range (a chained prefix fold,
-Lehmer-checked) check this for real, and below a threshold against the exact
-rational oracle: one chained alternating_sweep per range shard, or its
-one-index case, alternating_exact, for one prime.  p = 3 is the one odd prime
-the construction misses, so search_numerator_divisor is an empirical probe.
+by p; verify_prime (one tail span) and verify_range (a chained prefix fold
+from each shard's lowest floor(p/3), Lehmer-checked) check this for real, and
+below a threshold against the exact rational oracle: one chained
+alternating_sweep per range shard, or its one-index case, alternating_exact,
+for one prime.  p = 3 is the one odd prime the construction misses, so
+search_numerator_divisor is an empirical probe.
 """
 
 import json
@@ -94,9 +95,12 @@ def record_to_json(rec: WitnessRecord) -> str:
     return row_to_json(RECORD_FIELDS, record_row(rec))
 
 
-def _witness_record(p: int, tail: Callable, exact: Callable) -> WitnessRecord:
-    """p's record with every check: tail(n, pm) is A_n mod p, exact(n) the Fraction A_n."""
-    n, case = linked_index(p)
+def _witness_record(
+    p: int, witness: Tuple[int, FormCase], tail: Callable, exact: Callable
+) -> WitnessRecord:
+    """p's record with every check, witness = linked_index(p): tail(n, pm) is
+    A_n mod p, exact(n) the Fraction A_n."""
+    n, case = witness
     pm = PrimeModulus(p)  # the one primality proof: a composite p raises here
     # the linkage forces n = 3 (odd case) or 0 (even case) mod 4; else it is a bug
     want = 3 if case is FormCase.ODD else 0
@@ -123,7 +127,9 @@ def verify_prime(p: int) -> WitnessRecord:
     exception.  p must be below 2^32."""
     if p >= _P_LIMIT:
         raise ValueError(f"p={p} is not below 2^32, the limit of witness checks")
-    return _witness_record(p, lambda n, pm: alternating_mod(n, pm).value, alternating_exact)
+    return _witness_record(
+        p, linked_index(p), lambda n, pm: alternating_mod(n, pm).value, alternating_exact
+    )
 
 
 @dataclass
@@ -147,27 +153,38 @@ def check_range(pmin: int, pmax: int) -> None:
 
 
 def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
-    # One chained prefix fold gives H_n and H_{floor(n/2)} for every p, and
-    # A_n = H_n - H_{floor(n/2)}.  floor(n/2) = floor(p/3), so Lehmer's
-    # congruence checks the second (a kernel returning 0 fails at every p but
-    # 11 and 1006003).  H_n must not come from it by H_{p-1-k} = H_k mod p:
-    # p-1-n = floor(p/3), so that shortcut is the theorem itself.
+    # One chained prefix fold, started at the lowest floor(p/3) of the shard
+    # (terms below it are in no tail), gives H_c - H_base at the cuts
+    # floor(p/3) = floor(n/2), floor(p/2) and n of every p; the unknown H_base
+    # cancels in each difference, A_n = H_n - H_{floor(n/2)}.  Lehmer's
+    # H_{floor(p/2)} - H_{floor(p/3)} = -2 q_p(2) + (3/2) q_p(3) checks the
+    # same difference code (a kernel returning 0 fails at every p but 73, 83
+    # and 681251).  H_n must not come from H_{floor(p/3)} by H_{p-1-k} = H_k
+    # mod p: p-1-n = floor(p/3), so that shortcut is the theorem itself.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
-    small = [n for n, _ in map(linked_index, primes) if n <= DEFAULT_EXACT_THRESHOLD]
+    witnesses = list(map(linked_index, primes))
+    small = [n for n, _ in witnesses if n <= DEFAULT_EXACT_THRESHOLD]
     exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
-    cuts = sorted((c, p) for p in primes for c in (p // 3, linked_index(p)[0]))
-    h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
+    cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (p // 3, p // 2, n))
+    base = primes[0] // 3 if primes else 0
+    h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts], base)))
+
+    def between(a: int, b: int, p: int) -> int:
+        return (h[b, p] - h[a, p]) % p
 
     def tail(n: int, pm: PrimeModulus) -> int:
-        p, low = pm.p, h[n // 2, pm.p]
-        want = -3 * ((pow(3, p - 1, p * p) - 1) // p) * ((p + 1) // 2) % p  # -(3/2) q_p(3)
-        if low != want:
-            raise ConsistencyError(f"Lehmer mismatch at p={p}: H_{n // 2} = {low} != {want}")
-        return (h[n, p] - low) % p
+        p = pm.p
+        q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
+        got, want = between(p // 3, p // 2, p), (3 * q3 * ((p + 1) // 2) - 2 * q2) % p
+        if got != want:
+            raise ConsistencyError(
+                f"Lehmer mismatch at p={p}: H_{p // 2} - H_{p // 3} = {got} != {want}"
+            )
+        return between(n // 2, n, p)
 
-    recs = [_witness_record(p, tail, exact.__getitem__) for p in primes]
+    recs = [_witness_record(p, w, tail, exact.__getitem__) for p, w in zip(primes, witnesses)]
     return recs, time.perf_counter() - t0
 
 

@@ -156,12 +156,14 @@ def test_verify_range_small():
 
 
 def test_verify_range_empty():
-    recs = []
-    summary = verify_range(4, 4, record_sink=recs.append)
-    assert recs == []
-    assert summary.verified_count == 0
-    assert summary.failure_count == 0
-    assert summary.skipped == []
+    # 24..28 is a whole shard without a prime, so the fold has no first cut
+    for pmin, pmax in ((4, 4), (24, 28)):
+        recs = []
+        summary = verify_range(pmin, pmax, record_sink=recs.append)
+        assert recs == []
+        assert summary.verified_count == 0
+        assert summary.failure_count == 0
+        assert summary.skipped == []
 
 
 def test_verify_range_counts_cover_all_odd_primes():
@@ -192,8 +194,8 @@ def _records(pmin, pmax):
 def test_verify_range_tree_agrees_with_verify_prime_fold():
     # verify_range's chained prefix fold against verify_prime's tail.  Both
     # build on modfield._span but assemble it differently (a chain of spans
-    # from 0 against one tail span); the independent checks are Lehmer's
-    # congruence below and tests/oracles.py.
+    # from the shard's lowest floor(p/3) against one tail span); the
+    # independent checks are Lehmer's congruences below and tests/oracles.py.
     # 5..16416 is three shards, the last holding one prime (16411)
     assert [p for p in oracles.primes_upto_trial(16416) if p >= 16389] == [16411]
     for pmax in (20_000, 16416):
@@ -206,37 +208,60 @@ def test_verify_range_tree_agrees_with_verify_prime_fold():
 
 
 def _lehmer(p):
-    # H_{floor(p/3)} = -(3/2) q_p(3) mod p, q_p(3) = (3^(p-1) - 1)/p (E. Lehmer, 1938)
-    return -3 * ((pow(3, p - 1, p * p) - 1) // p) * pow(2, -1, p) % p
+    # H_{floor(p/2)} - H_{floor(p/3)} = -2 q_p(2) + (3/2) q_p(3) mod p, with
+    # q_p(a) = (a^(p-1) - 1)/p (E. Lehmer, 1938)
+    q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
+    return (-2 * q2 + 3 * q3 * pow(2, -1, p)) % p
 
 
-def test_tree_matches_lehmers_congruence():
+def test_fold_matches_lehmers_difference():
     primes = [p for p in oracles.primes_upto_trial(3001) if p >= 5]
-    for chunk in (primes, [1_006_003]):
-        got = modfield.harmonic_prefixes_mod([p // 3 for p in chunk], chunk)
-        assert got == [_lehmer(p) for p in chunk]
-    assert oracles.tail_sum_mod(1, 1_006_003 // 3, 1_006_003) == 0
-    # the base-3 Wieferich primes: the closed form is 0 there and only there
-    assert [p for p in primes if _lehmer(p) == 0] == [11]
-    assert _lehmer(1_006_003) == 0
+    for chunk in (primes, [681_251]):
+        pairs = sorted((c, p) for p in chunk for c in (p // 3, p // 2))
+        got = modfield.harmonic_prefixes_mod(
+            [c for c, _ in pairs], [p for _, p in pairs], chunk[0] // 3
+        )
+        h = dict(zip(pairs, got))
+        assert [(h[p // 2, p] - h[p // 3, p]) % p for p in chunk] == [_lehmer(p) for p in chunk]
+    assert oracles.tail_sum_mod(681_251 // 3 + 1, 681_251 // 2, 681_251) == 0
+    # the closed form is 0 there and only there, so the check is blind there
+    assert [p for p in primes if _lehmer(p) == 0] == [73, 83]
+    assert _lehmer(681_251) == 0
 
 
 def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
     # every residue of a witness is 0, so a kernel that returns only zeros
     # would pass every record above the exact threshold; Lehmer's check
     # fails it at the first prime
-    monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [0] * len(cuts))
+    monkeypatch.setattr(
+        engine, "harmonic_prefixes_mod", lambda cuts, moduli, base: [0] * len(cuts)
+    )
     with pytest.raises(ConsistencyError, match="Lehmer mismatch at p=5:"):
         verify_range(5, 20_000)
 
 
+def test_shard_sums_no_term_below_its_lowest_cut(monkeypatch):
+    # the fold starts at the first prime's floor(p/3), 983063 // 3 here;
+    # a prefix from 0 would be half of this shard's kernel time
+    real, starts = modfield._span, []
+
+    def spy(lo, hi, m):
+        starts.append(lo)
+        return real(lo, hi, m)
+
+    monkeypatch.setattr(modfield, "_span", spy)
+    recs, _ = engine._verify_shard((983_045, 991_236))
+    assert recs[0].p == 983_063 and all(rec.ok for rec in recs)
+    assert min(starts) == 983_063 // 3 + 1 > 983_045 // 3
+
+
 def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
     # a counterexample at the seam: H_n of p = 3011 (n = 2007, past the exact
-    # threshold) is off by one, while its H_{floor(p/3)} keeps Lehmer's value
+    # threshold) is off by one, while its Lehmer difference stays right
     real = modfield.harmonic_prefixes_mod
 
-    def off_by_one(cuts, moduli):
-        hs = real(cuts, moduli)
+    def off_by_one(cuts, moduli, base):
+        hs = real(cuts, moduli, base)
         return [(h + ((c, m) == (2007, 3011))) % m for c, m, h in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)
@@ -255,12 +280,12 @@ def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
 
 def test_range_exact_check_catches_a_wrong_tree_value(monkeypatch):
     # H_1999 of p = 2999 (n = 1999, inside the exact zone) is off by one, while
-    # its H_{floor(p/3)} keeps Lehmer's value: only the exact check can see it,
-    # in a shard from 2999 and in one from 5 alike
+    # its Lehmer difference stays right: only the exact check can see it, in a
+    # shard from 2999 and in one from 5 alike
     real = modfield.harmonic_prefixes_mod
 
-    def off_by_one(cuts, moduli):
-        hs = real(cuts, moduli)
+    def off_by_one(cuts, moduli, base):
+        hs = real(cuts, moduli, base)
         return [(h + ((c, m) == (1999, 2999))) % m for c, m, h in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)

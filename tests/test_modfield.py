@@ -121,17 +121,24 @@ def _random_prefix_case(rng, leaves, primes):
 
 @pytest.mark.parametrize("leaves", [1, 2, 3, 4, 5, 7, 16, 33])
 def test_harmonic_prefixes_mod_matches_both_oracles(leaves):
-    # H_c mod m against the one-inverse-per-term sum and the exact rational
-    # H_c, on random cuts whose answers are almost all nonzero
+    # (H_c - H_base) mod m against the one-inverse-per-term sum and the exact
+    # rational difference, on random cuts whose answers are almost all
+    # nonzero, from base 0 (plain H_c), a base inside (0, first cut] and the
+    # first cut itself, which that cut reads as 0
     rng = random.Random(leaves)
     primes = [p for p in oracles.primes_upto_trial(5_000) if p > 2]
     for _ in range(4):
         cuts, moduli = _random_prefix_case(rng, leaves, primes)
-        got = harmonic_prefixes_mod(cuts, moduli)
-        want = [oracles.tail_sum_mod(1, c, m) for c, m in zip(cuts, moduli)]
-        exact = [residue_of(harmonic_exact(c), PrimeModulus(m)).value for c, m in zip(cuts, moduli)]
-        assert got == want == exact
-        assert sum(w != 0 for w in want) >= leaves - 1
+        assert harmonic_prefixes_mod(cuts, moduli) == harmonic_prefixes_mod(cuts, moduli, 0)
+        for base in (0, rng.randrange(1, cuts[0] + 1), cuts[0]):
+            got = harmonic_prefixes_mod(cuts, moduli, base)
+            want = [oracles.tail_sum_mod(base + 1, c, m) for c, m in zip(cuts, moduli)]
+            exact = [
+                residue_of(harmonic_exact(c) - harmonic_exact(base), PrimeModulus(m)).value
+                for c, m in zip(cuts, moduli)
+            ]
+            assert got == want == exact
+            assert sum(w != 0 for w in want) >= leaves - 1
 
 
 def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
@@ -155,8 +162,29 @@ def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
     assert h[p // 3, p] == oracles.tail_sum_mod(1, p // 3, p)
 
 
+def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
+    # a shard's cuts, floor(p/3), floor(p/2) and n - 1, folded from the lowest
+    # floor(p/3): each cut holds H_c - H_base, never a term up to base
+    primes = [p for p in range(1_000_003, 1_000_100, 2) if is_prime(p)][:6]
+    tops = {p: (2 * p - 1) // 3 - 1 for p in primes}
+    pairs = sorted((c, p) for p in primes for c in (p // 3, p // 2, tops[p]))
+    base = primes[0] // 3
+    assert pairs[0] == (base, primes[0])
+    h = dict(zip(pairs, harmonic_prefixes_mod([c for c, _ in pairs], [p for _, p in pairs], base)))
+    for p in primes:
+        assert h[p // 3, p] == oracles.tail_sum_mod(base + 1, p // 3, p)
+        assert h[p // 2, p] == _span_tail(base + 1, p // 2, p) != 0
+        assert h[tops[p], p] == _span_tail(base + 1, tops[p], p) != 0
+    p = primes[-1]
+    assert h[tops[p], p] == oracles.tail_sum_mod(base + 1, tops[p], p)
+
+
 def test_harmonic_prefixes_mod_edges():
     assert harmonic_prefixes_mod([], []) == []
+    assert harmonic_prefixes_mod([], [], 5) == []
+    # a base above the first cut would read that cut as 0
+    with pytest.raises(ValueError, match="base 4 is above the first cut 3"):
+        harmonic_prefixes_mod([3, 5], [7, 7], 4)
     # H_0 = 0, equal cuts (an empty span), and a cut one below its modulus,
     # where H_{p-1} = 0 mod p (Wolstenholme, p > 3) and H_{p-2} = 1
     assert harmonic_prefixes_mod([0, 3, 3, 11, 12], [13, 7, 5, 13, 13]) == [
