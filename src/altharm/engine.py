@@ -153,10 +153,10 @@ def check_range(pmin: int, pmax: int) -> None:
 
 
 def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
-    # One chained prefix fold, started at the lowest floor(p/3) of the shard
-    # (terms below it are in no tail), gives H_c - H_base at the cuts
-    # floor(p/3) = floor(n/2), floor(p/2) and n of every p; the unknown H_base
-    # cancels in each difference, A_n = H_n - H_{floor(n/2)}.  Lehmer's
+    # One chained prefix fold, started at the first cut, the lowest floor(p/3)
+    # of the shard (terms below it are in no tail), gives H_c - H_b at the
+    # cuts floor(p/3) = floor(n/2), floor(p/2) and n of every p; the unknown
+    # H_b cancels in each difference, A_n = H_n - H_{floor(n/2)}.  Lehmer's
     # H_{floor(p/2)} - H_{floor(p/3)} = -2 q_p(2) + (3/2) q_p(3) checks the
     # same difference code (a kernel returning 0 fails at every p but 73, 83
     # and 681251).  H_n must not come from H_{floor(p/3)} by H_{p-1-k} = H_k
@@ -168,8 +168,7 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     small = [n for n, _ in witnesses if n <= DEFAULT_EXACT_THRESHOLD]
     exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
     cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (p // 3, p // 2, n))
-    base = primes[0] // 3 if primes else 0
-    h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts], base)))
+    h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
 
     def between(a: int, b: int, p: int) -> int:
         return (h[b, p] - h[a, p]) % p

@@ -124,19 +124,17 @@ def _mul(x: Tuple[int, int], y: Tuple[int, int], m: int) -> Tuple[int, int]:
     return d1 * d2 % m, (d1 * n2 + n1 * d2) % m
 
 
-def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int], base: int = 0) -> List[int]:
-    """(H_c - H_base) mod m for each cut c and its modulus m, H_c = 1 + ... + 1/c.
+def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[int]:
+    """(H_c - H_b) mod m for each cut c and its modulus m, where b is the first
+    cut and H_c = 1 + 1/2 + ... + 1/c; a first cut 0 gives H_c mod m.
 
-    cuts ascend from base (a base above the first cut is a ValueError), and
-    each m is a prime above its c; at base 0 this is H_c mod m.  One chained
-    prefix fold: a running (c!/base!, c!/base! (H_c - H_base)) modulo the
-    product of the distinct moduli (primes, so also their lcm) is extended
-    by the span (c', c] from the cut before, then reduced mod m and read as
-    the quotient of its two halves.  Terms up to base are never summed.
+    cuts ascend, and each m is a prime above its c.  One chained prefix fold:
+    a running (c!/b!, c!/b! (H_c - H_b)) modulo the product of the distinct
+    moduli (primes, so also their lcm) is extended by the span (c', c] from
+    the cut before, then reduced mod m and read as the quotient of its two
+    halves.  Terms up to b are never summed.
     """
-    if cuts and base > cuts[0]:
-        raise ValueError(f"base {base} is above the first cut {cuts[0]}")
-    root, v, prev, out = prod(set(moduli)), (1, 0), base, []
+    root, v, prev, out = prod(set(moduli)), (1, 0), cuts[0] if cuts else 0, []
     for c, m in zip(cuts, moduli):
         v, prev = _mul(v, _span(prev + 1, c, root), root), c
         out.append(v[1] % m * pow(v[0] % m, -1, m) % m)

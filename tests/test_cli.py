@@ -378,8 +378,8 @@ def test_consistency_error_exits_three(monkeypatch, capsys):
     # one fails Lehmer's check; the first shard's records are already out
     real = modfield.harmonic_prefixes_mod
 
-    def faulty(cuts, moduli, base):
-        hs = real(cuts, moduli, base)
+    def faulty(cuts, moduli):
+        hs = real(cuts, moduli)
         return [(h + ((c, m) == (3335, 10007))) % m for c, m, h in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", faulty)

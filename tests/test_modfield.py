@@ -121,17 +121,17 @@ def _random_prefix_case(rng, leaves, primes):
 
 @pytest.mark.parametrize("leaves", [1, 2, 3, 4, 5, 7, 16, 33])
 def test_harmonic_prefixes_mod_matches_both_oracles(leaves):
-    # (H_c - H_base) mod m against the one-inverse-per-term sum and the exact
+    # (H_c - H_b) mod m against the one-inverse-per-term sum and the exact
     # rational difference, on random cuts whose answers are almost all
-    # nonzero, from base 0 (plain H_c), a base inside (0, first cut] and the
-    # first cut itself, which that cut reads as 0
+    # nonzero, behind a first cut b of 0 (plain H_c), inside (0, c_1] and
+    # equal to c_1, which then reads 0 as b itself always does
     rng = random.Random(leaves)
     primes = [p for p in oracles.primes_upto_trial(5_000) if p > 2]
     for _ in range(4):
         cuts, moduli = _random_prefix_case(rng, leaves, primes)
-        assert harmonic_prefixes_mod(cuts, moduli) == harmonic_prefixes_mod(cuts, moduli, 0)
         for base in (0, rng.randrange(1, cuts[0] + 1), cuts[0]):
-            got = harmonic_prefixes_mod(cuts, moduli, base)
+            first, *got = harmonic_prefixes_mod([base] + cuts, moduli[:1] + moduli)
+            assert first == 0
             want = [oracles.tail_sum_mod(base + 1, c, m) for c, m in zip(cuts, moduli)]
             exact = [
                 residue_of(harmonic_exact(c) - harmonic_exact(base), PrimeModulus(m)).value
@@ -143,11 +143,11 @@ def test_harmonic_prefixes_mod_matches_both_oracles(leaves):
 
 def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
     # a shard's cuts, floor(p/3) and n, with n moved down by one so that the
-    # tail H_{n-1} - H_{floor(p/3)} is no longer 0: moduli near 10^6, leaf
-    # spans of 17 to 333000 terms, 13 leaves (an odd count), each p twice
+    # tail H_{n-1} - H_{floor(p/3)} is no longer 0, behind a first cut 0 so
+    # that each reads H_c: moduli near 10^6, spans of 17 to 333000 terms
     primes = [p for p in range(1_000_003, 1_000_100, 2) if is_prime(p)][:6]
     pairs = sorted((c, p) for p in primes for c in (p // 3, (2 * p - 1) // 3 - 1))
-    pairs.insert(0, (17, primes[-1]))
+    pairs[:0] = [(0, primes[0]), (17, primes[-1])]
     cuts, moduli = [c for c, _ in pairs], [p for _, p in pairs]
     h = dict(zip(pairs, harmonic_prefixes_mod(cuts, moduli)))
     assert h[17, primes[-1]] == oracles.tail_sum_mod(1, 17, primes[-1])
@@ -163,14 +163,14 @@ def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
 
 
 def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
-    # a shard's cuts, floor(p/3), floor(p/2) and n - 1, folded from the lowest
-    # floor(p/3): each cut holds H_c - H_base, never a term up to base
+    # a shard's cuts, floor(p/3), floor(p/2) and n - 1, folded from the first,
+    # the lowest floor(p/3): each cut holds H_c - H_base, no term up to base
     primes = [p for p in range(1_000_003, 1_000_100, 2) if is_prime(p)][:6]
     tops = {p: (2 * p - 1) // 3 - 1 for p in primes}
     pairs = sorted((c, p) for p in primes for c in (p // 3, p // 2, tops[p]))
     base = primes[0] // 3
     assert pairs[0] == (base, primes[0])
-    h = dict(zip(pairs, harmonic_prefixes_mod([c for c, _ in pairs], [p for _, p in pairs], base)))
+    h = dict(zip(pairs, harmonic_prefixes_mod([c for c, _ in pairs], [p for _, p in pairs])))
     for p in primes:
         assert h[p // 3, p] == oracles.tail_sum_mod(base + 1, p // 3, p)
         assert h[p // 2, p] == _span_tail(base + 1, p // 2, p) != 0
@@ -181,10 +181,6 @@ def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
 
 def test_harmonic_prefixes_mod_edges():
     assert harmonic_prefixes_mod([], []) == []
-    assert harmonic_prefixes_mod([], [], 5) == []
-    # a base above the first cut would read that cut as 0
-    with pytest.raises(ValueError, match="base 4 is above the first cut 3"):
-        harmonic_prefixes_mod([3, 5], [7, 7], 4)
     # H_0 = 0, equal cuts (an empty span), and a cut one below its modulus,
     # where H_{p-1} = 0 mod p (Wolstenholme, p > 3) and H_{p-2} = 1
     assert harmonic_prefixes_mod([0, 3, 3, 11, 12], [13, 7, 5, 13, 13]) == [
