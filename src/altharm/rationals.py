@@ -5,11 +5,13 @@ reduced-form invariants this package relies on: gcd(|num|, den) = 1,
 den >= 1, sign on the numerator, zero as 0/1.  The summation routines here
 are the slow, trusted oracle for everything the modular fast paths claim.
 
-Every sum is formed by divide and conquer (binary splitting), which keeps
-intermediate operands near their reduced size.  alternating_sweep chains A_n
-over ascending n, one split block per step: a verify shard's exact values
-come from one sweep, and alternating_exact is its one-index case.  The test
-oracles check all this against left-to-right Fraction accumulation.
+Every sum is formed by divide and conquer (binary splitting) of 1/k over a
+block of k, which keeps intermediate operands near their reduced size.
+A_n is the tail H_n - H_{n//2}, the sum over (n//2, n]: alternating_sweep
+chains it over ascending n, each step adding the terms that enter the tail
+and taking away those that leave it.  A verify shard's exact values come
+from one sweep, and alternating_exact is its one-index case.  The test
+oracles check all this against left-to-right signed Fraction accumulation.
 """
 
 from decimal import Decimal
@@ -40,7 +42,9 @@ def _merge(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:
 
 
 def _harmonic_pair(lo: int, hi: int) -> Tuple[int, int]:
-    """Sum of 1/k for k in lo..hi as a reduced (num, den) pair."""
+    """Sum of 1/k for k in lo..hi as a reduced (num, den) pair; 0/1 if lo > hi."""
+    if lo > hi:
+        return 0, 1
     if lo == hi:
         return 1, lo
     if hi - lo == 1:
@@ -52,36 +56,22 @@ def _harmonic_pair(lo: int, hi: int) -> Tuple[int, int]:
     return _merge(n1, d1, n2, d2)
 
 
-def _alternating_pair(lo: int, hi: int) -> Tuple[int, int]:
-    """Sum of (-1)^(k-1)/k for k in lo..hi as a reduced (num, den) pair."""
-    if lo == hi:
-        return (1, lo) if lo % 2 else (-1, lo)
-    if hi - lo == 1:
-        # 1/lo - 1/(lo+1) = 1/(lo(lo+1)), sign by the parity of lo
-        return (1, lo * hi) if lo % 2 else (-1, lo * hi)
-    mid = (lo + hi) // 2
-    n1, d1 = _alternating_pair(lo, mid)
-    n2, d2 = _alternating_pair(mid + 1, hi)
-    return _merge(n1, d1, n2, d2)
-
-
 def harmonic_exact(n: int) -> Fraction:
     """The harmonic sum 1 + 1/2 + ... + 1/n, reduced; n = 0 gives 0/1."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return Fraction(0)
     return Fraction(*_harmonic_pair(1, n))
 
 
 def alternating_sweep(ns: Iterable[int]) -> Iterator[Fraction]:
-    """A_n, reduced, for each n of a nondecreasing ns: the last A plus one _alternating_pair."""
+    """A_n, reduced, for each n of a nondecreasing ns; each step moves the tail (n//2, n]."""
     num, den, prev = 0, 1, 0
     for n in ns:
         if n < prev:
             raise ValueError(f"n must be nonnegative and nondecreasing, got {n} after {prev}")
-        if n > prev:
-            num, den = _merge(num, den, *_alternating_pair(prev + 1, n))
+        num, den = _merge(num, den, *_harmonic_pair(max(prev, n // 2) + 1, n))
+        out, d = _harmonic_pair(prev // 2 + 1, min(prev, n // 2))
+        num, den = _merge(num, den, -out, d)
         yield Fraction(num, den)
         prev = n
 

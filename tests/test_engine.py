@@ -192,7 +192,7 @@ def _records(pmin, pmax):
     return recs
 
 
-def test_verify_range_tree_agrees_with_verify_prime_fold():
+def test_verify_range_fold_agrees_with_verify_prime_tail():
     # verify_range's chained prefix fold against verify_prime's tail.  Both
     # build on modfield._span but assemble it differently (a chain of spans
     # from the shard's lowest floor(p/3) against one tail span); the
@@ -276,7 +276,7 @@ def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
     assert "failures=1" in err
 
 
-def test_range_exact_check_catches_a_wrong_tree_value(monkeypatch):
+def test_range_exact_check_catches_a_wrong_fold_value(monkeypatch):
     # H_1999 of p = 2999 (n = 1999, inside the exact zone) is off by one, while
     # its Lehmer difference stays right: only the exact check can see it, in a
     # shard from 2999 and in one from 5 alike

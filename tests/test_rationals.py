@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from altharm import rationals
 from altharm.rationals import (
     NotPAdicIntegerError,
     _merge,
@@ -68,9 +69,10 @@ def test_sums_match_bruteforce_oracle():
 
 
 def test_tail_identity():
-    # A_n = H_n - H_{n//2} = sum over the upper half of the range
-    for n in range(1, 500):
-        a = alternating_exact(n)
+    # A_n = H_n - H_{n//2} = sum over the upper half of the range, with A_n
+    # from the signed series: the exact kernel sums the tail itself, so
+    # taking A_n from alternating_exact would compare it with itself
+    for n, a in enumerate(oracles.alternating_stream(499), 1):
         assert a == harmonic_exact(n) - harmonic_exact(n // 2)
         assert a == tail_exact(n // 2 + 1, n)
 
@@ -94,18 +96,12 @@ def test_summation_order_independence():
         assert alternating_exact(n) == a
 
 
-# the sweep's blocks (previous n, n] hit every branch of _alternating_pair:
-# one term, two terms from an odd and from an even lo, and blocks of
-# 2^k - 1, 2^k and 2^k + 1 terms on either side of a power-of-two split
-_BLOCKS = [7, 8, 9, 16, 17, 15, 1, 2, 3, 2, 1, 2, 31, 32, 33, 3]
 _SWEEPS = {
     "empty": [],
     "zero": [0, 0, 1],
     "one": [1],
     "repeated": [1, 1, 2],
     "consecutive": list(range(1, 40)),
-    "pairs": [2, 4, 5, 7, 8, 10],
-    "split-sizes": [sum(_BLOCKS[:i + 1]) for i in range(len(_BLOCKS))],
     "repeats-and-gaps": [3, 3, 10, 10, 10, 11, 64, 64, 129],
 }
 
@@ -117,6 +113,62 @@ def test_sweep_matches_one_sum_per_index_and_the_stream_oracle(ns):
     stream = [Fraction(0), *oracles.alternating_stream(max(ns, default=0))]
     assert got == [stream[n] for n in ns]
     assert all(math.gcd(x.numerator, x.denominator) == 1 for x in got)
+
+
+# A step from m to n adds the terms entering the tail, (max(m, n//2), n],
+# and takes away those leaving it, (m//2, min(m, n//2)].  Both blocks take
+# every branch of _harmonic_pair: one term, two terms, and splits of
+# 2^k - 1, 2^k and 2^k + 1 terms (_SIZES).
+_SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+_STEPS = {
+    # n >= 2m, disjoint tails: at (s, 2s) s terms enter, at (2s, 4s) s leave
+    "disjoint": [(s, 2 * s) for s in _SIZES] + [(2 * s, 4 * s) for s in _SIZES],
+    # m < n < 2m, overlapping tails: s terms enter from an even and an odd m,
+    # and at (100, 100 + 2s) s leave
+    "overlap": [(m, m + s) for m in (100, 101) for s in _SIZES]
+    + [(100, 100 + 2 * s) for s in _SIZES],
+    # m even and n = m + 1, so n//2 == m//2: one term enters, none leaves
+    "nothing-leaves": [(m, m + 1) for m in (0, 2, 16, 64)],
+    "repeated": [(m, m) for m in (0, 1, 2, 33)],
+}
+_KINDS = {
+    "disjoint": lambda m, n: n >= 2 * m,
+    "overlap": lambda m, n: m < n < 2 * m,
+    "nothing-leaves": lambda m, n: m < n and n // 2 == m // 2,
+    "repeated": lambda m, n: m == n,
+}
+
+
+@pytest.mark.parametrize("kind", _STEPS)
+def test_sweep_steps_match_the_stream_oracle(kind):
+    stream = [Fraction(0), *oracles.alternating_stream(200)]
+    for m, n in _STEPS[kind]:
+        assert _KINDS[kind](m, n)
+        assert list(alternating_sweep([m, n])) == [stream[m], stream[n]]
+
+
+def test_sweep_steps_cover_every_block_size():
+    steps = _STEPS["disjoint"] + _STEPS["overlap"]
+    entering = {n - max(m, n // 2) for m, n in steps}
+    leaving = {min(m, n // 2) - m // 2 for m, n in steps}
+    assert set(_SIZES) <= entering and set(_SIZES) <= leaving
+
+
+def test_exact_sums_only_the_tail(monkeypatch):
+    # alternating_exact(n) sums the n - n//2 terms of (n//2, n] and no term
+    # below: H_n - H_{n//2} from 1 would sum 1.5 times as many
+    real, blocks = rationals._harmonic_pair, []
+
+    def spy(lo, hi):
+        blocks.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(rationals, "_harmonic_pair", spy)
+    stream = [Fraction(0), *oracles.alternating_stream(1001)]
+    for n in (1, 2, 7, 64, 1000, 1001):
+        blocks.clear()
+        assert alternating_exact(n) == stream[n]
+        assert min(lo for lo, hi in blocks if lo <= hi) == n // 2 + 1
 
 
 def test_sweep_over_the_exact_zone_witness_indices():
