@@ -96,12 +96,18 @@ def test_summation_order_independence():
         assert alternating_exact(n) == a
 
 
+# long sweeps whose steps grow n by one or two terms ("pairs") and by
+# 2^k - 1, 2^k and 2^k + 1 terms on either side of a power of two
+# ("split-sizes"), so the tail both gains and loses blocks along the way
+_BLOCKS = [7, 8, 9, 16, 17, 15, 1, 2, 3, 2, 1, 2, 31, 32, 33, 3]
 _SWEEPS = {
     "empty": [],
     "zero": [0, 0, 1],
     "one": [1],
     "repeated": [1, 1, 2],
     "consecutive": list(range(1, 40)),
+    "pairs": [2, 4, 5, 7, 8, 10],
+    "split-sizes": [sum(_BLOCKS[:i + 1]) for i in range(len(_BLOCKS))],
     "repeats-and-gaps": [3, 3, 10, 10, 10, 11, 64, 64, 129],
 }
 
