@@ -4,8 +4,8 @@ For an odd prime p >= 5, 2p-1 is 0 or 1 mod 3 (2 mod 3 would force 3 | p),
 which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
 by p; verify_prime (one tail span) and verify_range (a chained prefix fold
-from each shard's lowest floor(p/3), Lehmer-checked) check this for real, and
-below a threshold against the exact rational oracle: one chained
+from each shard's lowest floor(p/2) plus Lehmer's closed form) check this
+for real, and below a threshold against the exact oracle: one chained
 alternating_sweep per range shard, or its one-index case, alternating_exact,
 for one prime.  p = 3 is the one odd prime the construction misses, so
 search_numerator_divisor is an empirical probe.
@@ -14,7 +14,6 @@ search_numerator_divisor is an empirical probe.
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -37,7 +36,7 @@ _SHARD_WIDTH = 8192
 
 
 class ConsistencyError(RuntimeError):
-    """Exact and modular evaluations disagree: an implementation bug, not math."""
+    """Two computations that must agree do not: an implementation bug, not math."""
 
 
 def witness_index(p: int) -> Tuple[int, FormCase]:
@@ -153,37 +152,33 @@ def check_range(pmin: int, pmax: int) -> None:
 
 
 def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
-    # One chained prefix fold, started at the first cut, the lowest floor(p/3)
-    # of the shard (terms below it are in no tail), gives H_c - H_b at the
-    # cuts floor(p/3) = floor(n/2), floor(p/2) and n of every p; the unknown
-    # H_b cancels in each difference, A_n = H_n - H_{floor(n/2)}.  Lehmer's
-    # H_{floor(p/2)} - H_{floor(p/3)} = -2 q_p(2) + (3/2) q_p(3) checks the
-    # same difference code (a kernel returning 0 fails at every p but 73, 83
-    # and 681251).  H_n must not come from H_{floor(p/3)} by H_{p-1-k} = H_k
-    # mod p: p-1-n = floor(p/3), so that shortcut is the theorem itself.
+    # One chained prefix fold from the first cut b, the shard's lowest
+    # floor(p/2) (no span reaches below it), gives H_n - H_{floor(p/2)} of
+    # every p, the unknown H_b cancelling.  Lehmer's L(p) = -2 q_p(2) +
+    # (3/2) q_p(3) = H_{floor(p/2)} - H_{floor(p/3)} adds the rest of A_n =
+    # H_n - H_{floor(n/2)}, floor(n/2) = floor(p/3).  L(p) != 0 below 2*10^6
+    # but at 73, 83 and 681251, so a kernel returning 0 or a wrong cut fails
+    # records, and verify_prime's Lehmer-free tail span tells a kernel fault
+    # from a counterexample.  H_n must not come from H_{floor(p/3)} by
+    # H_{p-1-k} = H_k mod p: p-1-n = floor(p/3), so that is the theorem itself.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
     witnesses = list(map(linked_index, primes))
     small = [n for n, _ in witnesses if n <= DEFAULT_EXACT_THRESHOLD]
     exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
-    cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (p // 3, p // 2, n))
+    cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (p // 2, n))
     h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
-
-    def between(a: int, b: int, p: int) -> int:
-        return (h[b, p] - h[a, p]) % p
 
     def tail(n: int, pm: PrimeModulus) -> int:
         p = pm.p
         q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
-        got, want = between(p // 3, p // 2, p), (3 * q3 * ((p + 1) // 2) - 2 * q2) % p
-        if got != want:
-            raise ConsistencyError(
-                f"Lehmer mismatch at p={p}: H_{p // 2} - H_{p // 3} = {got} != {want}"
-            )
-        return between(n // 2, n, p)
+        return (h[n, p] - h[p // 2, p] + 3 * q3 * ((p + 1) // 2) - 2 * q2) % p
 
     recs = [_witness_record(p, w, tail, exact.__getitem__) for p, w in zip(primes, witnesses)]
+    for rec in recs:
+        if not rec.ok and verify_prime(rec.p) != rec:
+            raise ConsistencyError(f"range fold and tail span disagree at p={rec.p}")
     return recs, time.perf_counter() - t0
 
 
@@ -201,8 +196,8 @@ def verify_range(
     range is cut into fixed shards, worked by up to jobs processes (at most
     one per CPU), and merged back in order.  p = 3 inside the range is
     recorded as skipped.  A failing record (ok=False) is counted, not
-    raised.  progress, if given, is called per completed shard with
-    (lo, hi, record_count, seconds).
+    raised, once verify_prime gives the same record.  progress, if given,
+    is called per completed shard with (lo, hi, record_count, seconds).
     """
     check_range(pmin, pmax)
     start = time.perf_counter()
@@ -218,6 +213,8 @@ def verify_range(
     # _verify_shard is looked up by name here on every path; bench/spans.py
     # wraps it at jobs=1
     workers = min(jobs, len(shard_args), os.cpu_count() or 1)
+    if workers > 1:  # a start-up cost that only a pool should pay
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         shards = (pool.map if pool else map)(_verify_shard, shard_args)

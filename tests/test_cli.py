@@ -374,13 +374,14 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_consistency_error_exits_three(monkeypatch, capsys):
-    # a kernel fault in the second shard: H_{floor(p/3)} of p = 10007 off by
-    # one fails Lehmer's check; the first shard's records are already out
+    # a kernel fault in the second shard: H_{floor(p/2)} of p = 10007 off by
+    # one fails its record, which verify_prime's tail span does not; the
+    # first shard's records are already out
     real = modfield.harmonic_prefixes_mod
 
     def faulty(cuts, moduli):
         hs = real(cuts, moduli)
-        return [(h + ((c, m) == (3335, 10007))) % m for c, m, h in zip(cuts, moduli, hs)]
+        return [(h + ((c, m) == (5003, 10007))) % m for c, m, h in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", faulty)
     argv = ["verify", "--pmin", "5", "--pmax", "20000", "--jobs", "1", "--format", "jsonl", "--quiet"]
@@ -389,8 +390,7 @@ def test_consistency_error_exits_three(monkeypatch, capsys):
     assert [json.loads(line)["p"] for line in out.splitlines()] == [
         p for p in oracles.primes_upto_trial(8196) if p >= 5
     ]
-    assert err.startswith("altharm: internal error: Lehmer mismatch at p=10007: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err == "altharm: internal error: range fold and tail span disagree at p=10007\n"
 
 
 _NO_NUMPY = "import sys; sys.modules['numpy'] = None; from altharm import cli; sys.exit(cli.main(sys.argv[1:]))"
@@ -417,6 +417,16 @@ def test_no_command_loads_numpy(args):
     plain = run_cli(*args)
     assert blocked.returncode == plain.returncode == 0, blocked.stderr
     assert blocked.stdout == plain.stdout
+
+
+def test_exact_loads_no_process_pool():
+    # concurrent.futures.process is a start-up cost only a verify pool needs
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "altharm", "exact", "1"],
+        capture_output=True, text=True, env=oracles.child_env(), timeout=300,
+    )
+    assert r.returncode == 0 and r.stdout == "1/1\n"
+    assert "altharm.engine" in r.stderr and "concurrent.futures.process" not in r.stderr
 
 
 def test_no_command_is_usage_error():

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 import oracles
@@ -195,8 +197,9 @@ def _records(pmin, pmax):
 def test_verify_range_fold_agrees_with_verify_prime_tail():
     # verify_range's chained prefix fold against verify_prime's tail.  Both
     # build on modfield._span but assemble it differently (a chain of spans
-    # from the shard's lowest floor(p/3) against one tail span); the
-    # independent checks are Lehmer's congruences below and tests/oracles.py.
+    # from the shard's lowest floor(p/2), plus Lehmer's closed form, against
+    # one tail span); the independent checks are the scan of Lehmer's closed
+    # form below and tests/oracles.py.
     # 5..16416 is three shards, the last holding one prime (16411)
     assert [p for p in oracles.primes_upto_trial(16416) if p >= 16389] == [16411]
     for pmax in (20_000, 16416):
@@ -231,16 +234,50 @@ def test_fold_matches_lehmers_difference():
 
 def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
     # every residue of a witness is 0, so a kernel that returns only zeros
-    # would pass every record above the exact threshold; Lehmer's check
-    # fails it at the first prime
+    # would pass every record above the exact threshold; with Lehmer's L(p)
+    # added, its residue is L(p) instead, which the exact check rejects at
+    # the first prime and verify_prime's tail span at the first prime past
+    # the exact zone
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [0] * len(cuts))
-    with pytest.raises(ConsistencyError, match="Lehmer mismatch at p=5:"):
+    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=5,"):
         verify_range(5, 20_000)
+    with pytest.raises(ConsistencyError, match="disagree at p=3011$"):
+        verify_range(3002, 30_000)
+
+
+def test_kernel_reading_the_wrong_cut_is_caught(monkeypatch):
+    # a kernel that returns floor(p/2)'s value at n's cut makes every span
+    # 0, which a range check summing only that span would pass; with L(p)
+    # added, each residue is L(p) instead
+    real = modfield.harmonic_prefixes_mod
+
+    def half_cut(cuts, moduli):
+        hs = dict(zip(zip(cuts, moduli), real(cuts, moduli)))
+        wrong = {(modfield.linked_index(m)[0], m): (m // 2, m) for m in moduli}
+        return [hs[wrong.get(key, key)] for key in zip(cuts, moduli)]
+
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", half_cut)
+    with pytest.raises(ConsistencyError, match="range fold and tail span disagree at p=3011$"):
+        verify_range(3002, 30_000)
+
+
+def test_fold_fault_is_not_reported_as_a_counterexample(monkeypatch):
+    # the fold off by one at H_n of p = 3011 while verify_prime's tail is
+    # right: the failed record is a kernel fault, so the run stops
+    real = modfield.harmonic_prefixes_mod
+
+    def off_by_one(cuts, moduli):
+        hs = real(cuts, moduli)
+        return [(h + ((c, m) == (2007, 3011))) % m for c, m, h in zip(cuts, moduli, hs)]
+
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)
+    with pytest.raises(ConsistencyError, match="range fold and tail span disagree at p=3011$"):
+        verify_range(3001, 3100)
 
 
 def test_shard_sums_no_term_below_its_lowest_cut(monkeypatch):
-    # the fold starts at the first prime's floor(p/3), 983063 // 3 here;
-    # a prefix from 0 would be half of this shard's kernel time
+    # the fold starts at the first prime's floor(p/2), 983063 // 2 here; a
+    # prefix from 0, or from floor(p/3), would be most of its kernel time
     real, starts = modfield._span, []
 
     def spy(lo, hi, m):
@@ -250,19 +287,25 @@ def test_shard_sums_no_term_below_its_lowest_cut(monkeypatch):
     monkeypatch.setattr(modfield, "_span", spy)
     recs, _ = engine._verify_shard((983_045, 991_236))
     assert recs[0].p == 983_063 and all(rec.ok for rec in recs)
-    assert min(starts) == 983_063 // 3 + 1 > 983_045 // 3
+    assert min(starts) == 983_063 // 2 + 1 > 983_045 // 2
 
 
 def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
-    # a counterexample at the seam: H_n of p = 3011 (n = 2007, past the exact
-    # threshold) is off by one, while its Lehmer difference stays right
-    real = modfield.harmonic_prefixes_mod
+    # a counterexample at the seam: A_n of p = 3011 (n = 2007, past the exact
+    # threshold) is off by one in the range fold and in verify_prime's tail
+    # alike, so the recheck agrees and the record stands
+    real, real_tail = modfield.harmonic_prefixes_mod, engine.alternating_mod
 
     def off_by_one(cuts, moduli):
         hs = real(cuts, moduli)
         return [(h + ((c, m) == (2007, 3011))) % m for c, m, h in zip(cuts, moduli, hs)]
 
+    def tail_off_by_one(n, pm):
+        r = real_tail(n, pm)
+        return modfield.Residue((r.value + ((n, pm.p) == (2007, 3011))) % pm.p, pm)
+
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)
+    monkeypatch.setattr(engine, "alternating_mod", tail_off_by_one)
     recs = []
     summary = verify_range(3001, 3100, record_sink=recs.append)
     bad = [rec for rec in recs if not rec.ok]
@@ -277,9 +320,9 @@ def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
 
 
 def test_range_exact_check_catches_a_wrong_fold_value(monkeypatch):
-    # H_1999 of p = 2999 (n = 1999, inside the exact zone) is off by one, while
-    # its Lehmer difference stays right: only the exact check can see it, in a
-    # shard from 2999 and in one from 5 alike
+    # H_1999 of p = 2999 (n = 1999, inside the exact zone) is off by one: the
+    # exact check stops the run before any recheck, in a shard from 2999 and
+    # in one from 5 alike
     real = modfield.harmonic_prefixes_mod
 
     def off_by_one(cuts, moduli):
@@ -339,7 +382,8 @@ def pools(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             self.cancel_futures.append(cancel_futures)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    # verify_range imports the class from here when it builds a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return made
 
 

@@ -142,7 +142,7 @@ def test_harmonic_prefixes_mod_matches_both_oracles(leaves):
 
 
 def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
-    # a shard's cuts, floor(p/3) and n, with n moved down by one so that the
+    # the tail's ends, floor(p/3) and n, with n moved down by one so that the
     # tail H_{n-1} - H_{floor(p/3)} is no longer 0, behind a first cut 0 so
     # that each reads H_c: moduli near 10^6, spans of 17 to 333000 terms
     primes = [p for p in range(1_000_003, 1_000_100, 2) if is_prime(p)][:6]
@@ -163,8 +163,9 @@ def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
 
 
 def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
-    # a shard's cuts, floor(p/3), floor(p/2) and n - 1, folded from the first,
-    # the lowest floor(p/3): each cut holds H_c - H_base, no term up to base
+    # three cuts per prime, floor(p/3), floor(p/2) and n - 1, folded from
+    # the first, the lowest floor(p/3): each cut holds H_c - H_base, no term
+    # up to base
     primes = [p for p in range(1_000_003, 1_000_100, 2) if is_prime(p)][:6]
     tops = {p: (2 * p - 1) // 3 - 1 for p in primes}
     pairs = sorted((c, p) for p in primes for c in (p // 3, p // 2, tops[p]))
