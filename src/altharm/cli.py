@@ -2,8 +2,9 @@
 verification, numerator-divisor search, and the pairing demonstration.
 
 Exit codes: 0 all checks passed; 1 a verification produced ok=false;
-2 usage or validation error, or out of memory; 3 an internal consistency
-check failed (a bug, not a counterexample); 141 stdout was closed early.
+2 usage or validation error, out of memory, or a failed write to stdout or
+--out; 3 an internal consistency check failed (a bug, not a
+counterexample); 141 stdout was closed early.
 With jsonl/csv formats stdout carries only records; progress and summaries
 go to stderr.
 """
@@ -273,11 +274,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # records already written stay; exit 1 would read as a counterexample
         print(f"altharm: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BrokenPipeError:
-        # the reader is gone; send what is still buffered to devnull so the
-        # interpreter's own flush at exit does not raise again
+    except OSError as exc:
+        # the reader is gone (a broken pipe) or a write failed (a full disk);
+        # send what is still buffered to devnull so the interpreter's own
+        # flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"altharm: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

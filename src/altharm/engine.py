@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .modfield import FormCase, PrimeModulus, alternating_mod, harmonic_prefixes_mod
-from .modfield import _P_LIMIT, linked_index, linked_prime
+from .modfield import _P_LIMIT, _mul, linked_index, linked_prime
 from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, alternating_sweep, residue_of
@@ -243,11 +243,11 @@ def search_numerator_divisor(p: int, nmax: int) -> List[int]:
 
     One integer scan modulo p^(L+1), L = floor(log_p nmax) (Boyd's p-adic
     bookkeeping): each k = p^v * m with p not dividing m has v <= L, so
-    p^L * A_n is a p-adic integer, accumulated term by term as
-    (-1)^(k-1) * p^(L-v) * m^(-1).  p divides the numerator of A_n exactly
-    when v_p(p^L * A_n) >= L+1, i.e. when the running sum is 0 mod p^(L+1).
-    Below p this is the plain mod-p scan.  Purely empirical: an empty result
-    asserts nothing.
+    p^L * A_n = sum of (-1)^(k-1) * p^(L-v) / m is a p-adic integer, kept as
+    s/d mod p^(L+1), d a unit, and advanced by modfield._mul's (D, N) step
+    with no inverse.  p divides the numerator of A_n exactly when
+    v_p(p^L * A_n) >= L+1, i.e. when s = 0 mod p^(L+1).  Below p this is
+    the plain mod-p scan.  Purely empirical: an empty result asserts nothing.
     """
     PrimeModulus(p)  # rejects p that is not an odd prime
     if nmax < 1:
@@ -258,14 +258,13 @@ def search_numerator_divisor(p: int, nmax: int) -> List[int]:
         top *= p
     mod = top * p
     hits: List[int] = []
-    s = 0
+    v = (1, 0)  # (d, s)
     for k in range(1, nmax + 1):
         m, scale = k, top
         while m % p == 0:
             m //= p
             scale //= p
-        term = scale * pow(m, -1, mod)
-        s = (s + term) % mod if k % 2 else (s - term) % mod
-        if s == 0:
+        v = _mul(v, (m, scale if k % 2 else -scale), mod)
+        if v[1] == 0:
             hits.append(k)
     return hits

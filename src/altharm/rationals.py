@@ -27,17 +27,13 @@ class NotPAdicIntegerError(ValueError):
 
 
 def _merge(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:
-    # Add two reduced fractions; any common factor of the raw numerator and
-    # the lcm denominator divides g = gcd(d1, d2), so one small gcd finishes
-    # the reduction (Knuth, TAOCP 4.5.1).
+    # Add two reduced fractions by one formula: any common factor of the raw
+    # numerator and the lcm denominator divides g = gcd(d1, d2), so one small
+    # gcd finishes the reduction, a no-op when g = 1 (Knuth, TAOCP 4.5.1).
     g = gcd(d1, d2)
-    if g == 1:
-        return n1 * d2 + n2 * d1, d1 * d2
     d1g = d1 // g
     t = n1 * (d2 // g) + n2 * d1g
     g2 = gcd(t, g)
-    if g2 == 1:
-        return t, d1g * d2
     return t // g2, d1g * (d2 // g2)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -231,6 +232,32 @@ def test_closed_stdout_exits_141(tmp_path, args):
         assert proc.wait(timeout=60) == 141
         err.seek(0)
         assert "Traceback" not in err.read()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args,to_stdout",
+    [
+        (["exact", "7"], True),
+        (["verify", "--pmin", "5", "--pmax", "20000", "--quiet", "--jobs", "1"], True),
+        (["verify", "--pmin", "5", "--pmax", "20000", "--quiet", "--jobs", "1",
+          "--out", "/dev/full"], False),
+        (["verify", "--pmin", "5", "--pmax", "20000", "--quiet", "--jobs", "2",
+          "--out", "/dev/full"], False),
+    ],
+    ids=["exact-stdout", "verify-stdout", "verify-out-jobs-1", "verify-out-jobs-2"],
+)
+def test_failed_write_is_a_usage_error(args, to_stdout):
+    # every write to /dev/full fails with ENOSPC; the verify range spans three
+    # shards and more records than a write buffer holds
+    with open("/dev/full", "w") as full:
+        r = subprocess.run(
+            [sys.executable, "-m", "altharm", *args],
+            stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=oracles.child_env(), timeout=120,
+        )
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == ["altharm: error: [Errno 28] No space left on device"]
 
 
 def test_verify_out_append_and_resume(tmp_path):

@@ -461,6 +461,18 @@ def test_search_finds_hits_above_p_squared():
     ]
 
 
+def test_search_takes_no_inverse(monkeypatch):
+    # the running sum is a (D, N) pair advanced by modfield._mul, never a
+    # per-term pow(m, -1, p^(L+1))
+    def no_inverse(base, exp, mod=None):
+        if exp == -1:
+            raise AssertionError(f"pow({base}, -1, {mod}) in search")
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(engine, "pow", no_inverse, raising=False)
+    assert search_numerator_divisor(7, 1500) == [4, 30, 34, 210, 214, 241, 1499]
+
+
 def test_search_validation():
     with pytest.raises(ValueError):
         search_numerator_divisor(4, 10)

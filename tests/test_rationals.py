@@ -202,12 +202,23 @@ def test_outputs_are_reduced():
 
 def test_merge_agrees_with_fraction_addition():
     rng = random.Random(1234)
-    for _ in range(2000):
-        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    pairs = [
+        (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+         Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+        for _ in range(2000)
+    ]
+    # 0/1 on either side (a sweep's first block, an empty block), equal and
+    # coprime denominators, a sum that cancels to 0/1, and a shared factor
+    # that survives (1/6 + 1/3 = 1/2)
+    pairs += [
+        (Fraction(0), Fraction(7, 12)), (Fraction(-7, 12), Fraction(0)),
+        (Fraction(0), Fraction(0)), (Fraction(5, 12), Fraction(-1, 12)),
+        (Fraction(3, 35), Fraction(-4, 33)), (Fraction(1, 30), Fraction(-1, 30)),
+        (Fraction(5, 3), Fraction(-5, 3)), (Fraction(1, 6), Fraction(1, 3)),
+    ]
+    for a, b in pairs:
         num, den = _merge(a.numerator, a.denominator, b.numerator, b.denominator)
-        assert Fraction(num, den) == a + b
-        assert math.gcd(num, den) == 1 and den >= 1
+        assert (num, den) == ((a + b).numerator, (a + b).denominator)
 
 
 def test_residue_of_examples():
