@@ -3,8 +3,8 @@ verification, numerator-divisor search, and the pairing demonstration.
 
 Exit codes: 0 all checks passed; 1 a verification produced ok=false;
 2 usage or validation error, out of memory, or a failed write to stdout or
---out; 3 an internal consistency check failed (a bug, not a
-counterexample); 141 stdout was closed early.
+--out; 3 an internal consistency check failed or a worker process died
+(a bug, not a counterexample); 141 stdout was closed early.
 With jsonl/csv formats stdout carries only records; progress and summaries
 go to stderr.
 """
@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .engine import (
     RECORD_FIELDS,
-    ConsistencyError,
     check_range,
     record_row,
     row_to_csv,
@@ -270,7 +269,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"altharm: error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_USAGE
-    except ConsistencyError as exc:
+    except RuntimeError as exc:
+        # engine's ConsistencyError, or concurrent.futures' BrokenProcessPool
+        # when a pool worker died (unnamed here: only a pool may import it);
         # records already written stay; exit 1 would read as a counterexample
         print(f"altharm: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

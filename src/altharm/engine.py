@@ -72,7 +72,6 @@ class WitnessRecord:
 
 
 RECORD_FIELDS = ("p", "n", "case", "residue", "exact_checked", "ok")
-_JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per row
 
 
 def record_row(rec: WitnessRecord) -> tuple:
@@ -80,9 +79,13 @@ def record_row(rec: WitnessRecord) -> tuple:
     return rec.p, rec.n, rec.case.value, rec.residue, rec.exact_checked, rec.ok
 
 
+# a row value's JSON text by its type: rows hold only bools, ints and strings
+_JSON_VALUE = {bool: lambda v: "true" if v else "false", int: str, str: json.dumps}
+
+
 def row_to_json(fields: Sequence[str], row: Sequence) -> str:
-    """One-line JSON object mapping fields to row values, in field order."""
-    return _JSON.encode(dict(zip(fields, row)))
+    """One-line JSON object mapping fields (identifiers, not escaped) to row values."""
+    return "{" + ",".join([f'"{f}":{_JSON_VALUE[type(v)](v)}' for f, v in zip(fields, row)]) + "}"
 
 
 def row_to_csv(row: Sequence) -> str:
@@ -159,7 +162,8 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     # H_n - H_{floor(n/2)}, floor(n/2) = floor(p/3).  L(p) != 0 below 2*10^6
     # but at 73, 83 and 681251, so a kernel returning 0 or a wrong cut fails
     # records, and verify_prime's Lehmer-free tail span tells a kernel fault
-    # from a counterexample.  H_n must not come from H_{floor(p/3)} by
+    # from a counterexample.  L(p) = q_p(27/16) / 2, one power mod p^2, since
+    # q_p(ab) = q_p(a) + q_p(b).  H_n must not come from H_{floor(p/3)} by
     # H_{p-1-k} = H_k mod p: p-1-n = floor(p/3), so that is the theorem itself.
     lo, hi = args
     t0 = time.perf_counter()
@@ -171,9 +175,9 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
 
     def tail(n: int, pm: PrimeModulus) -> int:
-        p = pm.p
-        q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
-        return (h[n, p] - h[p // 2, p] + 3 * q3 * ((p + 1) // 2) - 2 * q2) % p
+        p, pp = pm.p, pm.p * pm.p
+        q = (pow(27 * pow(16, -1, pp), p - 1, pp) - 1) // p
+        return (h[n, p] - h[p // 2, p] + q * ((p + 1) // 2)) % p
 
     recs = [_witness_record(p, w, tail, exact.__getitem__) for p, w in zip(primes, witnesses)]
     for rec in recs:

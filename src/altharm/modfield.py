@@ -4,7 +4,8 @@ Covers canonical residues, both directions of the witness linkage p <-> n,
 the tail sum of A_n modulo p, and the pairing check that shows term by term
 why it cancels.  One prime's tail sum is one product span in Z[e]/(e^2)
 (_span); a range of primes takes differences of its harmonic prefixes from
-one chained prefix fold of the same spans, started at the range's lowest cut.
+one chained prefix fold of the same spans, started at the range's lowest cut
+and read a block of cuts at a time modulo the block's own primes.
 """
 
 import enum
@@ -19,6 +20,12 @@ from .primes import is_prime
 # just below 2^32 needs a tail of about 1.4e9 terms (minutes), and it keeps
 # the sieve's base-prime mask small.
 _P_LIMIT = 1 << 32
+
+# harmonic_prefixes_mod reads cuts this many at a time through their own
+# moduli (16, 32 and 64 measure alike)
+_BLOCK = 32
+# and shrinks its modulus once 1/_DROP of the live moduli have had their last cut
+_DROP = 4
 
 
 @dataclass(frozen=True)
@@ -128,16 +135,32 @@ def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[in
     """(H_c - H_b) mod m for each cut c and its modulus m, where b is the first
     cut and H_c = 1 + 1/2 + ... + 1/c; a first cut 0 gives H_c mod m.
 
-    cuts ascend, and each m is a prime above its c.  One chained prefix fold:
-    a running (c!/b!, c!/b! (H_c - H_b)) modulo the product of the distinct
-    moduli (primes, so also their lcm) is extended by the span (c', c] from
-    the cut before, then reduced mod m and read as the quotient of its two
-    halves.  Terms up to b are never summed.
+    cuts ascend, and each m is a prime above its c.  One chained prefix fold
+    of a running (c!/b!, c!/b! (H_c - H_b)) modulo the product of the live
+    moduli (primes, so also their lcm), a block of cuts at a time: a copy
+    reduced mod the product of the block's own moduli is extended by the span
+    (c', c] from each cut before and read at c as the quotient of its two
+    halves mod m; the running value then takes the block's span product once.
+    Once a quarter of the live moduli have had their last cut, it is reduced
+    mod the product of the rest.  Terms up to b are never summed.
     """
-    root, v, prev, out = prod(set(moduli)), (1, 0), cuts[0] if cuts else 0, []
-    for c, m in zip(cuts, moduli):
-        v, prev = _mul(v, _span(prev + 1, c, root), root), c
-        out.append(v[1] % m * pow(v[0] % m, -1, m) % m)
+    last = {m: i for i, m in enumerate(moduli)}
+    live, done = set(moduli), set()
+    root, v, prev, out = prod(live), (1, 0), cuts[0] if cuts else 0, []
+    for i in range(0, len(cuts), _BLOCK):
+        block = set(moduli[i : i + _BLOCK])
+        small = prod(block)
+        w, step = (v[0] % small, v[1] % small), (1, 0)
+        for c, m in zip(cuts[i : i + _BLOCK], moduli[i : i + _BLOCK]):
+            s, prev = _span(prev + 1, c, root), c
+            w, step = _mul(w, s, small), _mul(step, s, root)
+            out.append(w[1] % m * pow(w[0] % m, -1, m) % m)
+        v = _mul(v, step, root)
+        done |= {m for m in block if last[m] < i + _BLOCK}
+        if _DROP * len(done) >= len(live):
+            live, done = live - done, set()
+            root = prod(live)
+            v = (v[0] % root, v[1] % root)
     return out
 
 

@@ -14,11 +14,11 @@ _U64_MAX = (1 << 64) - 1
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Fixed strong-pseudoprime witness schedules, each exact below its bound:
-# (2, 3, 5, 7) below 3_215_031_751, and the seven-base set for everything
-# else under 2^64.  Deterministic by construction; no random bases.
-_WITNESSES_SMALL = (2, 3, 5, 7)
-_WITNESSES_SMALL_BOUND = 3_215_031_751
-_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# (2, 3) below 1_373_653 = 829 * 1657 (Jaeschke 1993), (2, 3, 5, 7) below
+# 3_215_031_751, and the seven-base set for everything else under 2^64.
+# Deterministic by construction; no random bases.
+_WITNESSES = ((1_373_653, (2, 3)), (3_215_031_751, (2, 3, 5, 7)),
+              (_U64_MAX + 1, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)))
 
 
 def is_prime(x: int) -> bool:
@@ -33,7 +33,7 @@ def is_prime(x: int) -> bool:
     d = x - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    witnesses = _WITNESSES_SMALL if x < _WITNESSES_SMALL_BOUND else _WITNESSES_64
+    witnesses = next(bases for bound, bases in _WITNESSES if x < bound)
     for a in witnesses:
         v = pow(a, d, x)
         if v == 1 or v == x - 1:

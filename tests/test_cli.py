@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -418,6 +419,30 @@ def test_consistency_error_exits_three(monkeypatch, capsys):
         p for p in oracles.primes_upto_trial(8196) if p >= 5
     ]
     assert err == "altharm: internal error: range fold and tail span disagree at p=10007\n"
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched function reaches workers only through fork",
+)
+def test_dead_pool_worker_exits_three(monkeypatch, capsys, tmp_path):
+    # every shard after the first kills its worker; the pool pickles
+    # _verify_shard by name, so the fault goes into a function it calls,
+    # and forked workers inherit the patch
+    real = engine.odd_primes_iter
+    monkeypatch.setattr(
+        engine, "odd_primes_iter", lambda lo, hi: real(lo, hi) if lo == 5 else os._exit(1)
+    )
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    out = tmp_path / "records.jsonl"
+    argv = ["verify", "--pmin", "5", "--pmax", "20000", "--jobs", "2", "--quiet", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err.startswith("altharm: internal error: ") and err.count("\n") == 1
+    # the first shard's records may or may not have been written, and whole
+    first = [p for p in oracles.primes_upto_trial(8196) if p >= 5]
+    got = [json.loads(line)["p"] for line in out.read_text().splitlines()]
+    assert got == first[: len(got)]
 
 
 _NO_NUMPY = "import sys; sys.modules['numpy'] = None; from altharm import cli; sys.exit(cli.main(sys.argv[1:]))"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 
 import pytest
 
@@ -17,6 +18,7 @@ from altharm.engine import (
     record_row,
     record_to_json,
     row_to_csv,
+    row_to_json,
     search_numerator_divisor,
     verify_prime,
     verify_range,
@@ -141,6 +143,22 @@ def test_record_serialization():
     )
     assert row_to_csv(record_row(rec)) == "11,7,odd,0,true,true"
     assert row_to_csv(RECORD_FIELDS) == "p,n,case,residue,exact_checked,ok"
+
+
+@pytest.mark.parametrize(
+    "fields,row",
+    [
+        (RECORD_FIELDS, (98_299, 65_532, "even", 0, False, True)),
+        (RECORD_FIELDS, (11, 7, "odd", 5, True, False)),
+        (("p", "n"), (7, 100_000)),
+        (("p", "k", "a", "b", "residue"), (101, 1, 34, 67, 0)),
+        # strings that need escaping: a quote, a backslash, non-ASCII
+        (("p", "case"), (5, 'a"b\\c\u00e9')),
+    ],
+    ids=["verify", "verify-fail", "search", "pair-check", "escaped"],
+)
+def test_row_to_json_matches_json_dumps(fields, row):
+    assert row_to_json(fields, row) == json.dumps(dict(zip(fields, row)), separators=(",", ":"))
 
 
 def test_verify_range_small():

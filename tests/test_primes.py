@@ -17,10 +17,21 @@ from altharm.primes import PrimeRange, is_prime, odd_primes_iter, sieve_range
         (2_147_483_647, True),  # 2^31 - 1
         (2**61 - 1, True),
         (2**61 + 1, False),
+        # the least strong pseudoprimes to bases (2, 3), (2, 3, 5) and
+        # (2, 3, 5, 7); the first and the last bound the two small schedules
+        (1_373_653, False),
+        (25_326_001, False),
+        (3_215_031_751, False),
     ],
 )
 def test_is_prime_examples(x, want):
     assert is_prime(x) is want
+
+
+def test_is_prime_agrees_with_trial_division_at_the_two_base_bound():
+    # below 1_373_653 = 829 * 1657 two bases decide, from it on four
+    for x in range(1_373_653 - 2000, 1_373_653 + 2001):
+        assert is_prime(x) == oracles.trial_is_prime(x), x
 
 
 def test_is_prime_rejects_out_of_range():
