@@ -141,15 +141,23 @@ def _record_human(p, n, case, residue, exact_checked, ok) -> str:
     return f"p={p} n={n} case={case}: A_n residue {residue} ({check}) -> {verdict}"
 
 
-def _check_last_line(path: str, size: int) -> None:
-    # appending after a cut-off final line would glue the next record onto it
+def _check_last_line(path: str, size: int, fmt: str) -> None:
+    # appending after a cut-off final line would glue the next record onto
+    # it, and after rows of another format would mix two formats in one file
     with open(path, "rb") as f:
         f.seek(max(0, size - 256))
-        partial = f.read().split(b"\n")[-1].decode("ascii", "replace")
-    if partial:
+        lines = f.read().decode("ascii", "replace").split("\n")
+    if lines[-1]:
         raise ValueError(
-            f"--out {path!r} ends in a partial line {partial!r}; "
+            f"--out {path!r} ends in a partial line {lines[-1]!r}; "
             "remove it or choose another file"
+        )
+    last = lines[-2]  # the file is not empty and ends in a newline
+    found = "jsonl" if last.startswith("{") else "human" if last.startswith("p=") else "csv"
+    if found != fmt:
+        raise ValueError(
+            f"--out {path!r} ends in {found} rows, not {fmt}; "
+            f"pass --format {found} or choose another file"
         )
 
 
@@ -201,9 +209,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with target as out:
         # a csv header only at a stream's start (a pipe is one), so reruns concatenate
         size = out.tell() if out is not sys.stdout and out.seekable() else 0
+        fmt = _resolve_format(args.format, out)
         if size:
-            _check_last_line(args.out, size)
-        write = _row_writer(out, args.format, RECORD_FIELDS, _record_human, not size)
+            _check_last_line(args.out, size, fmt)
+        write = _row_writer(out, fmt, RECORD_FIELDS, _record_human, not size)
         summary = verify_range(
             args.pmin,
             args.pmax,

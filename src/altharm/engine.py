@@ -98,26 +98,19 @@ def record_to_json(rec: WitnessRecord) -> str:
 
 
 def _witness_record(
-    p: int, witness: Tuple[int, FormCase], tail: Callable, exact: Callable
+    p: int, n: int, case: FormCase, residue: int, exact: Optional[int]
 ) -> WitnessRecord:
-    """p's record with every check, witness = linked_index(p): tail(n, pm) is
-    A_n mod p, exact(n) the Fraction A_n."""
-    n, case = witness
-    pm = PrimeModulus(p)  # the one primality proof: a composite p raises here
+    """p's record with every check: (n, case) = linked_index(p), residue is
+    A_n mod p, and exact is the exact oracle's A_n mod p, or None above
+    DEFAULT_EXACT_THRESHOLD.  p is proved prime by the caller."""
     # the linkage forces n = 3 (odd case) or 0 (even case) mod 4; else it is a bug
     want = 3 if case is FormCase.ODD else 0
     if n % 4 != want:
         raise ConsistencyError(f"{case.value} witness n={n} for p={p} is not {want} mod 4")
-    residue = tail(n, pm)
-    exact_checked = n <= DEFAULT_EXACT_THRESHOLD
-    if exact_checked:
-        want = residue_of(exact(n), pm).value
-        if want != residue:
-            raise ConsistencyError(
-                f"exact/modular mismatch at p={p}, n={n}: {want} != {residue}"
-            )
+    if exact is not None and exact != residue:
+        raise ConsistencyError(f"exact/modular mismatch at p={p}, n={n}: {exact} != {residue}")
     return WitnessRecord(
-        p=p, n=n, case=case, residue=residue, exact_checked=exact_checked,
+        p=p, n=n, case=case, residue=residue, exact_checked=exact is not None,
         ok=(residue == 0),
     )
 
@@ -129,9 +122,10 @@ def verify_prime(p: int) -> WitnessRecord:
     exception.  p must be below 2^32."""
     if p >= _P_LIMIT:
         raise ValueError(f"p={p} is not below 2^32, the limit of witness checks")
-    return _witness_record(
-        p, linked_index(p), lambda n, pm: alternating_mod(n, pm).value, alternating_exact
-    )
+    n, case = linked_index(p)
+    pm = PrimeModulus(p)  # the one primality proof: a composite p raises here
+    want = residue_of(alternating_exact(n), pm).value if n <= DEFAULT_EXACT_THRESHOLD else None
+    return _witness_record(p, n, case, alternating_mod(n, pm).value, want)
 
 
 @dataclass
@@ -165,6 +159,10 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     # from a counterexample.  L(p) = q_p(27/16) / 2, one power mod p^2, since
     # q_p(ab) = q_p(a) + q_p(b).  H_n must not come from H_{floor(p/3)} by
     # H_{p-1-k} = H_k mod p: p-1-n = floor(p/3), so that is the theorem itself.
+    # Primality comes from the sieve, with no proof per record: for every odd
+    # composite m but 9, (floor(m/2), n] holds a multiple of m's least prime
+    # factor, so the kernel's inverse mod m at n's cut raises; 9 is in the
+    # exact zone, whose PrimeModulus rejects it.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
@@ -173,13 +171,13 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
     cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (p // 2, n))
     h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
-
-    def tail(n: int, pm: PrimeModulus) -> int:
-        p, pp = pm.p, pm.p * pm.p
+    recs = []
+    for p, (n, case) in zip(primes, witnesses):
+        pp = p * p
         q = (pow(27 * pow(16, -1, pp), p - 1, pp) - 1) // p
-        return (h[n, p] - h[p // 2, p] + q * ((p + 1) // 2)) % p
-
-    recs = [_witness_record(p, w, tail, exact.__getitem__) for p, w in zip(primes, witnesses)]
+        residue = (h[n, p] - h[p // 2, p] + q * ((p + 1) // 2)) % p
+        want = residue_of(exact[n], PrimeModulus(p)).value if n in exact else None
+        recs.append(_witness_record(p, n, case, residue, want))
     for rec in recs:
         if not rec.ok and verify_prime(rec.p) != rec:
             raise ConsistencyError(f"range fold and tail span disagree at p={rec.p}")

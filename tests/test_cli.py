@@ -306,6 +306,33 @@ def test_verify_out_refuses_a_partial_final_line(tmp_path):
         assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "first,second",
+    [("csv", None), ("csv", "human"), ("jsonl", "csv"), ("jsonl", "human"),
+     ("human", "jsonl"), ("human", "csv")],
+)
+def test_verify_out_refuses_another_format(tmp_path, first, second):
+    # README's resume without --format: a file is not a terminal, so the second
+    # run defaults to jsonl, which would land under the csv header
+    out = tmp_path / "records"
+    args = ("verify", "--pmin", "5", "--pmax", "30", "--quiet", "--out", str(out))
+    assert run_cli(*args, "--format", first).returncode == 0
+    before = out.read_bytes()
+    resume = ("verify", "--pmin", "31", "--pmax", "60", "--quiet", "--out", str(out))
+    r = run_cli(*resume, *(("--format", second) if second else ()))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"altharm: error: --out {str(out)!r} ends in {first} rows, not {second or 'jsonl'}; "
+        f"pass --format {first} or choose another file"
+    ]
+    assert out.read_bytes() == before
+    # the file's own format still appends, as one run would have written it
+    assert run_cli(*resume, "--format", first).returncode == 0
+    whole = run_cli("verify", "--pmin", "5", "--pmax", "60", "--quiet", "--format", first)
+    assert out.read_text() == whole.stdout
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_verify_out_to_a_pipe(fmt):
     # /dev/stdout on a pipe cannot seek: written as a fresh stream, csv header once

@@ -123,6 +123,47 @@ def test_verify_prime_proves_primality_once(monkeypatch):
     assert calls == [5, 7, 11, 13, 1009]
 
 
+def test_range_run_proves_no_prime_per_record(monkeypatch):
+    # the sieve produced every p, so a range record proves none prime; only
+    # the exact zone builds a PrimeModulus, for residue_of
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return oracles.trial_is_prime(x)
+
+    monkeypatch.setattr(engine, "is_prime", counting)
+    monkeypatch.setattr(modfield, "is_prime", counting)
+    verify_range(3002, 30_000)
+    assert calls == []
+    recs = _records(5, 3001)
+    assert len(recs) == 429 and all(rec.exact_checked for rec in recs)
+    assert len(calls) <= 429
+    assert recs == [verify_prime(p) for p in oracles.primes_upto_trial(3001) if p >= 5]
+
+
+@pytest.mark.parametrize(
+    "composite,pmin,pmax",
+    [(9, 5, 100), (25, 5, 100), (3013, 3002, 3100), (1_002_001, 1_000_003, 1_002_100)],
+    ids=["9", "25", "23*131", "1001^2"],
+)
+def test_composite_from_the_sieve_stops_the_run(monkeypatch, composite, pmin, pmax):
+    # no range record proves p prime, so a composite m the sieve let through
+    # must still stop the run before its shard's records reach the sink: the
+    # fold's inverse mod m fails at m's n cut.  3013 is just above the exact
+    # zone, and 1001 = 7*11*13
+    real = engine.odd_primes_iter
+
+    def leaky(lo, hi):
+        return iter(sorted([*real(lo, hi), *([composite] if lo <= composite <= hi else [])]))
+
+    monkeypatch.setattr(engine, "odd_primes_iter", leaky)
+    recs = []
+    with pytest.raises((ValueError, ConsistencyError)):
+        verify_range(pmin, pmax, record_sink=recs.append)
+    assert composite not in [rec.p for rec in recs]
+
+
 def test_verify_prime_threshold_controls_exact_check():
     # the threshold is the witness index of p = 3001; the next prime's is past it
     assert engine.DEFAULT_EXACT_THRESHOLD == 2000
