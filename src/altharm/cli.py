@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser(
-        "search", help="empirical scan for n with p | numerator(A_n)"
+        "search", help="every n <= nmax with p | numerator(A_n)"
     )
     p_search.add_argument("p", type=int)
     p_search.add_argument("--nmax", type=int, required=True)
@@ -166,8 +166,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
         raise ValueError(
             f"n={args.n} exceeds the budget {args.budget}; raise --budget if you mean it"
         )
-    # int-to-decimal conversion is quadratic in the digit count, so --budget
-    # bounds the expansion too
+    # --budget bounds the expansion too: it is taken from the integer
+    # abs(num) * 10**digits // den
     if args.digits is not None and args.digits > args.budget:
         raise ValueError(
             f"--digits {args.digits} exceeds the budget {args.budget}; "

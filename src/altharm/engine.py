@@ -7,8 +7,8 @@ by p; verify_prime (one tail span) and verify_range (a chained prefix fold
 from each shard's lowest floor(p/2) plus Lehmer's closed form) check this
 for real, and below a threshold against the exact oracle: one chained
 alternating_sweep per range shard, or its one-index case, alternating_exact,
-for one prime.  p = 3 is the one odd prime the construction misses, so
-search_numerator_divisor is an empirical probe.
+for one prime.  p = 3 is the one odd prime the construction misses, and
+search_numerator_divisor proves that it divides the numerator of no A_n.
 """
 
 import json
@@ -170,7 +170,11 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     small = [n for n, _ in witnesses if n <= DEFAULT_EXACT_THRESHOLD]
     exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
     cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (p // 2, n))
-    h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
+    try:
+        h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
+    except ValueError:  # the inverse mod m at a cut fails, see above
+        bad = [m for m in primes if not is_prime(m)]
+        raise ConsistencyError(f"shard {lo}..{hi}: the sieve passed composite(s) {bad}") from None
     recs = []
     for p, (n, case) in zip(primes, witnesses):
         pp = p * p
@@ -248,8 +252,9 @@ def search_numerator_divisor(p: int, nmax: int) -> List[int]:
     p^L * A_n = sum of (-1)^(k-1) * p^(L-v) / m is a p-adic integer, kept as
     s/d mod p^(L+1), d a unit, and advanced by modfield._mul's (D, N) step
     with no inverse.  p divides the numerator of A_n exactly when
-    v_p(p^L * A_n) >= L+1, i.e. when s = 0 mod p^(L+1).  Below p this is
-    the plain mod-p scan.  Purely empirical: an empty result asserts nothing.
+    v_p(p^L * A_n) >= L+1, i.e. when s = 0 mod p^(L+1).  n is a hit only if
+    floor(n/p) is 0 or a hit (Boyd's lemma), so a scan that stops before
+    nmax, past p*(k+1) - 1 with k the last hit or 0, has found every hit.
     """
     PrimeModulus(p)  # rejects p that is not an odd prime
     if nmax < 1:
@@ -260,8 +265,10 @@ def search_numerator_divisor(p: int, nmax: int) -> List[int]:
         top *= p
     mod = top * p
     hits: List[int] = []
-    v = (1, 0)  # (d, s)
+    v, stop = (1, 0), p - 1  # (d, s), and the last k that can be a hit
     for k in range(1, nmax + 1):
+        if k > stop:
+            break
         m, scale = k, top
         while m % p == 0:
             m //= p
@@ -269,4 +276,5 @@ def search_numerator_divisor(p: int, nmax: int) -> List[int]:
         v = _mul(v, (m, scale if k % 2 else -scale), mod)
         if v[1] == 0:
             hits.append(k)
+            stop = p * (k + 1) - 1
     return hits

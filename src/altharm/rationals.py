@@ -14,7 +14,7 @@ from one sweep, and alternating_exact is its one-index case.  The test
 oracles check all this against left-to-right signed Fraction accumulation.
 """
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Tuple
@@ -52,11 +52,19 @@ def _harmonic_pair(lo: int, hi: int) -> Tuple[int, int]:
     return _merge(n1, d1, n2, d2)
 
 
+def _reduced(num: int, den: int) -> Fraction:
+    # a pair in lowest terms, den > 0, skips Fraction(num, den)'s second gcd;
+    # setting the slots is one path on 3.10-3.13 (_normalize=False left in 3.12)
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = num, den
+    return x
+
+
 def harmonic_exact(n: int) -> Fraction:
     """The harmonic sum 1 + 1/2 + ... + 1/n, reduced; n = 0 gives 0/1."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return Fraction(*_harmonic_pair(1, n))
+    return _reduced(*_harmonic_pair(1, n))
 
 
 def alternating_sweep(ns: Iterable[int]) -> Iterator[Fraction]:
@@ -68,7 +76,7 @@ def alternating_sweep(ns: Iterable[int]) -> Iterator[Fraction]:
         num, den = _merge(num, den, *_harmonic_pair(max(prev, n // 2) + 1, n))
         out, d = _harmonic_pair(prev // 2 + 1, min(prev, n // 2))
         num, den = _merge(num, den, -out, d)
-        yield Fraction(num, den)
+        yield _reduced(num, den)
         prev = n
 
 
@@ -89,7 +97,7 @@ def tail_exact(lo: int, hi: int) -> Fraction:
         raise ValueError(f"lo must be positive, got {lo}")
     if lo > hi:
         raise ValueError(f"empty tail: lo={lo} > hi={hi}")
-    return Fraction(*_harmonic_pair(lo, hi))
+    return _reduced(*_harmonic_pair(lo, hi))
 
 
 def residue_of(x: Fraction, p: PrimeModulus) -> Residue:
@@ -106,9 +114,22 @@ def residue_of(x: Fraction, p: PrimeModulus) -> Residue:
 
 
 def _int_str(x: int) -> str:
-    # Same digits as str(x), but Decimal's conversion is not subject to the
-    # interpreter's int/str digit limit, which A_n passes near n = 10^4.
-    return str(Decimal(x))
+    # Same digits as str(x) in subquadratic time, by CPython 3.12's _pylong
+    # scheme: halves joined as lo + hi * 2^(w/2) in exact Decimal arithmetic,
+    # which the int/str digit limit (passed by A_n near n = 10^4) does not bind.
+    pow2 = {}
+    def conv(n: int, w: int) -> Decimal:
+        if w <= 1024:
+            return Decimal(n)
+        h = w // 2
+        if h not in pow2:
+            pow2[h] = Decimal(2) ** h
+        return conv(n & ((1 << h) - 1), h) + conv(n >> h, w - h) * pow2[h]
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        return ("-" if x < 0 else "") + str(conv(abs(x), abs(x).bit_length()))
 
 
 def format_fraction(x: Fraction) -> str:

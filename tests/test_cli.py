@@ -373,7 +373,7 @@ def test_search_csv_and_human():
 
 
 def test_search_has_no_nmax_bound():
-    # the scan is linear, so nmax past 10^5 is accepted
+    # the scan stops by Boyd's lemma, so nmax past 10^5 is accepted
     r = run_cli("search", "7", "--nmax", "100001", "--format", "csv")
     assert r.returncode == 0, r.stderr
     hits = [int(ln.split(",")[1]) for ln in r.stdout.splitlines()[1:]]

@@ -147,11 +147,12 @@ def test_range_run_proves_no_prime_per_record(monkeypatch):
     [(9, 5, 100), (25, 5, 100), (3013, 3002, 3100), (1_002_001, 1_000_003, 1_002_100)],
     ids=["9", "25", "23*131", "1001^2"],
 )
-def test_composite_from_the_sieve_stops_the_run(monkeypatch, composite, pmin, pmax):
+def test_composite_from_the_sieve_stops_the_run(monkeypatch, capsys, composite, pmin, pmax):
     # no range record proves p prime, so a composite m the sieve let through
     # must still stop the run before its shard's records reach the sink: the
-    # fold's inverse mod m fails at m's n cut.  3013 is just above the exact
-    # zone, and 1001 = 7*11*13
+    # fold's inverse mod m fails at m's n cut, a sieve fault that names the
+    # shard and m and exits 3.  3013 is just above the exact zone, and
+    # 1001 = 7*11*13
     real = engine.odd_primes_iter
 
     def leaky(lo, hi):
@@ -159,9 +160,12 @@ def test_composite_from_the_sieve_stops_the_run(monkeypatch, composite, pmin, pm
 
     monkeypatch.setattr(engine, "odd_primes_iter", leaky)
     recs = []
-    with pytest.raises((ValueError, ConsistencyError)):
+    with pytest.raises(ConsistencyError, match=rf"^shard {pmin}\.\.{pmax}: .*\[{composite}\]$"):
         verify_range(pmin, pmax, record_sink=recs.append)
     assert composite not in [rec.p for rec in recs]
+    argv = ["verify", "--pmin", str(pmin), "--pmax", str(pmax), "--jobs", "1", "--quiet"]
+    assert cli.main(argv) == 3
+    assert f"[{composite}]" in capsys.readouterr().err
 
 
 def test_verify_prime_threshold_controls_exact_check():
@@ -503,7 +507,8 @@ def _search_cases():
     cases = [(101, 100), (11, 60), (3, 2000), (5, 1800), (7, 1500), (11, 2000), (13, 2000)]
     for p, power in ((3, 729), (7, 343), (1093, 1093)):
         cases += [(p, power - 1), (p, power), (p, power + 1)]
-    return cases
+    # every odd prime 5 <= p < 60 up to 3000, where the stop rule ends most scans
+    return cases + [(p, 3000) for p in range(5, 60) if oracles.trial_is_prime(p)]
 
 
 @pytest.mark.parametrize("p,nmax", _search_cases())
@@ -518,6 +523,26 @@ def test_search_finds_hits_above_p_squared():
     assert search_numerator_divisor(13, 2000) == [
         8, 107, 110, 113, 1392, 1396, 1472, 1475, 1478,
     ]
+
+
+@pytest.mark.parametrize(
+    "p,nmax,want,most",
+    [(3, 10**12, [], 2), (5, 10**9, [3], 19), (11, 10**9, [7], 87), (23, 10**9, [15], 367)],
+    ids=["3", "5", "11", "23"],
+)
+def test_search_stops_where_no_hit_can_follow(monkeypatch, p, nmax, want, most):
+    # n is a hit only if floor(n/p) is 0 or a hit (Boyd), so the scan ends at
+    # p*(k+1) - 1 for its last hit k, however large nmax is; counted in
+    # modfield._mul steps, and a scan past the count fails at once
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        assert len(calls) <= most, f"search({p}, {nmax}) takes more than {most} steps"
+        return modfield._mul(*args)
+
+    monkeypatch.setattr(engine, "_mul", counting)
+    assert search_numerator_divisor(p, nmax) == want
 
 
 def test_search_takes_no_inverse(monkeypatch):

@@ -194,10 +194,44 @@ def test_sweep_rejects_negative_and_descending_indices(ns):
 
 
 def test_outputs_are_reduced():
-    for n in range(1, 200):
-        for x in (harmonic_exact(n), alternating_exact(n), tail_exact(max(1, n // 3 + 1), n)):
+    # the sums wrap _merge's reduced pairs without a second gcd, so each must
+    # still be a reduced Fraction that equals, hashes and computes like one
+    # built by Fraction's own constructor
+    sweep = alternating_sweep(range(1, 200))
+    for n, a in zip(range(1, 200), sweep):
+        for x in (harmonic_exact(n), a, tail_exact(max(1, n // 3 + 1), n)):
+            assert type(x) is Fraction
             assert math.gcd(x.numerator, x.denominator) == 1
             assert x.denominator >= 1
+            y = Fraction(x.numerator, x.denominator)
+            assert x == y and hash(x) == hash(y)
+            assert (x + 1, x * x, x - y, x / 2) == (y + 1, y * y, 0, y / 2)
+
+
+def _int_str_cases():
+    # around the 1024-bit leaf and its doublings, powers of 10 and of 2 each
+    # side, then random widths up to 300 kbit
+    cases = [0, 1, -1]
+    for k in (1023, 1024, 1025, 2047, 2048, 2049, 4096, 8193):
+        cases += [s * (2**k + d) for s in (1, -1) for d in (-1, 0, 1)]
+    for k in (308, 309, 617, 1233, 2466):  # digits near the same bit widths
+        cases += [s * (10**k + d) for s in (1, -1) for d in (-1, 0, 1)]
+    rng = random.Random(21)
+    cases += [rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 300_000)) for _ in range(16)]
+    return cases
+
+
+def test_int_str_matches_str():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for x in _int_str_cases():
+            assert rationals._int_str(x) == str(x)
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(before)
 
 
 def test_merge_agrees_with_fraction_addition():
