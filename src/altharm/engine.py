@@ -4,11 +4,12 @@ For an odd prime p >= 5, 2p-1 is 0 or 1 mod 3 (2 mod 3 would force 3 | p),
 which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
 by p; verify_prime (one tail span) and verify_range (a chained prefix fold
-from each shard's lowest floor(p/2) plus Lehmer's closed form) check this
-for real, and below a threshold against the exact oracle: one chained
-alternating_sweep per range shard, or its one-index case, alternating_exact,
-for one prime.  p = 3 is the one odd prime the construction misses, and
-search_numerator_divisor proves that it divides the numerator of no A_n.
+from each shard's lowest n to floor(3p/4), which reflection takes to
+floor(p/4), plus Lehmer's closed form) check this for real, and below a
+threshold against the exact oracle: one chained alternating_sweep per range
+shard, or its one-index case, alternating_exact, for one prime.  p = 3 is
+the one odd prime the construction misses, and search_numerator_divisor
+proves that it divides the numerator of no A_n.
 """
 
 import json
@@ -149,27 +150,29 @@ def check_range(pmin: int, pmax: int) -> None:
 
 
 def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
-    # One chained prefix fold from the first cut b, the shard's lowest
-    # floor(p/2) (no span reaches below it), gives H_n - H_{floor(p/2)} of
-    # every p, the unknown H_b cancelling.  Lehmer's L(p) = -2 q_p(2) +
-    # (3/2) q_p(3) = H_{floor(p/2)} - H_{floor(p/3)} adds the rest of A_n =
-    # H_n - H_{floor(n/2)}, floor(n/2) = floor(p/3).  L(p) != 0 below 2*10^6
-    # but at 73, 83 and 681251, so a kernel returning 0 or a wrong cut fails
-    # records, and verify_prime's Lehmer-free tail span tells a kernel fault
-    # from a counterexample.  L(p) = q_p(27/16) / 2, one power mod p^2, since
-    # q_p(ab) = q_p(a) + q_p(b).  H_n must not come from H_{floor(p/3)} by
-    # H_{p-1-k} = H_k mod p: p-1-n = floor(p/3), so that is the theorem itself.
-    # Primality comes from the sieve, with no proof per record: for every odd
-    # composite m but 9, (floor(m/2), n] holds a multiple of m's least prime
-    # factor, so the kernel's inverse mod m at n's cut raises; 9 is in the
-    # exact zone, whose PrimeModulus rejects it.
+    # One chained prefix fold from the first cut b, the shard's lowest n (no
+    # span reaches below it), gives H_n - H_{floor(3p/4)} of every p, the
+    # unknown H_b cancelling.  floor(3p/4) = p-1-floor(p/4), so reflection,
+    # H_{p-1-k} = H_k mod p, makes that H_n - H_{floor(p/4)}, and Lehmer's
+    # L'(p) = -3 q_p(2) + (3/2) q_p(3) = H_{floor(p/4)} - H_{floor(p/3)} adds
+    # the rest of A_n = H_n - H_{floor(n/2)}, floor(n/2) = floor(p/3).
+    # L'(p) = q_p(27/64) / 2, one power mod p^2, since q_p(ab) = q_p(a) +
+    # q_p(b).  L'(p) != 0 below 2*10^6 but at 5 and 250829, so a kernel
+    # returning 0 or a wrong cut fails records, and verify_prime's Lehmer-free
+    # tail span tells a kernel fault from a counterexample.  Reflection is
+    # used at floor(p/4) only: p-1-n = floor(p/3), so at n it would be the
+    # theorem itself.  Primality comes from the sieve, with no proof per
+    # record: for every odd composite m but 25, (n, floor(3m/4)] holds a
+    # multiple of a prime factor of m, so the kernel's inverse mod m at
+    # floor(3m/4)'s cut raises; 25 is in the exact zone, whose PrimeModulus
+    # rejects it.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
     witnesses = list(map(linked_index, primes))
     small = [n for n, _ in witnesses if n <= DEFAULT_EXACT_THRESHOLD]
     exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
-    cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (p // 2, n))
+    cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (n, 3 * p // 4))
     try:
         h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
     except ValueError:  # the inverse mod m at a cut fails, see above
@@ -178,8 +181,8 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     recs = []
     for p, (n, case) in zip(primes, witnesses):
         pp = p * p
-        q = (pow(27 * pow(16, -1, pp), p - 1, pp) - 1) // p
-        residue = (h[n, p] - h[p // 2, p] + q * ((p + 1) // 2)) % p
+        q = (pow(27 * pow(64, -1, pp), p - 1, pp) - 1) // p
+        residue = (h[n, p] - h[3 * p // 4, p] + q * ((p + 1) // 2)) % p
         want = residue_of(exact[n], PrimeModulus(p)).value if n in exact else None
         recs.append(_witness_record(p, n, case, residue, want))
     for rec in recs:

@@ -429,14 +429,14 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_consistency_error_exits_three(monkeypatch, capsys):
-    # a kernel fault in the second shard: H_{floor(p/2)} of p = 10007 off by
+    # a kernel fault in the second shard: H_n of p = 10007 (n = 6671) off by
     # one fails its record, which verify_prime's tail span does not; the
     # first shard's records are already out
     real = modfield.harmonic_prefixes_mod
 
     def faulty(cuts, moduli):
         hs = real(cuts, moduli)
-        return [(h + ((c, m) == (5003, 10007))) % m for c, m, h in zip(cuts, moduli, hs)]
+        return [(h + ((c, m) == (6671, 10007))) % m for c, m, h in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", faulty)
     argv = ["verify", "--pmin", "5", "--pmax", "20000", "--jobs", "1", "--format", "jsonl", "--quiet"]

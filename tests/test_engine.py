@@ -144,15 +144,22 @@ def test_range_run_proves_no_prime_per_record(monkeypatch):
 
 @pytest.mark.parametrize(
     "composite,pmin,pmax",
-    [(9, 5, 100), (25, 5, 100), (3013, 3002, 3100), (1_002_001, 1_000_003, 1_002_100)],
-    ids=["9", "25", "23*131", "1001^2"],
+    [
+        (9, 5, 100),
+        (25, 5, 100),
+        (3013, 3002, 3100),
+        (1_002_001, 1_000_003, 1_002_100),
+        (1_002_001, 1_002_001, 1_002_100),
+    ],
+    ids=["9", "25", "23*131", "1001^2", "1001^2-first"],
 )
 def test_composite_from_the_sieve_stops_the_run(monkeypatch, capsys, composite, pmin, pmax):
     # no range record proves p prime, so a composite m the sieve let through
     # must still stop the run before its shard's records reach the sink: the
-    # fold's inverse mod m fails at m's n cut, a sieve fault that names the
-    # shard and m and exits 3.  3013 is just above the exact zone, and
-    # 1001 = 7*11*13
+    # fold's inverse mod m fails at m's floor(3m/4) cut, a sieve fault that
+    # names the shard and m and exits 3.  3013 is just above the exact zone,
+    # and 1001 = 7*11*13; as a shard's first odd number, m's own n is the
+    # fold's first cut, so only (n, floor(3m/4)] guards it
     real = engine.odd_primes_iter
 
     def leaky(lo, hi):
@@ -166,6 +173,28 @@ def test_composite_from_the_sieve_stops_the_run(monkeypatch, capsys, composite, 
     argv = ["verify", "--pmin", str(pmin), "--pmax", str(pmax), "--jobs", "1", "--quiet"]
     assert cli.main(argv) == 3
     assert f"[{composite}]" in capsys.readouterr().err
+
+
+def test_every_odd_composite_but_25_has_a_factor_between_its_cuts():
+    # the sieve guard above, as arithmetic: for an odd composite m up to
+    # 10^5, some prime factor q of m has a multiple in (n, floor(3m/4)], so
+    # the fold's inverse mod m at floor(3m/4) fails even from m's own n.
+    # 25 (n = 16, floor(3m/4) = 18) is the one exception, in the exact zone
+    limit = 100_000
+    spf = list(range(limit + 1))  # least prime factor of each odd number
+    for q in range(3, int(limit**0.5) + 1, 2):
+        if spf[q] == q:
+            for k in range(q * q, limit + 1, 2 * q):
+                spf[k] = min(spf[k], q)
+    unguarded = []
+    for m in range(9, limit + 1, 2):
+        n, top, factors, r = (2 * m - 1) // 3, 3 * m // 4, set(), m
+        while r > 1:
+            factors.add(spf[r])
+            r //= spf[r]
+        if spf[m] < m and all(top // q == n // q for q in factors):
+            unguarded.append(m)
+    assert unguarded == [25]
 
 
 def test_verify_prime_threshold_controls_exact_check():
@@ -260,7 +289,7 @@ def _records(pmin, pmax):
 def test_verify_range_fold_agrees_with_verify_prime_tail():
     # verify_range's chained prefix fold against verify_prime's tail.  Both
     # build on modfield._span but assemble it differently (a chain of spans
-    # from the shard's lowest floor(p/2), plus Lehmer's closed form, against
+    # from the shard's lowest n, plus Lehmer's closed form, against
     # one tail span); the independent checks are the scan of Lehmer's closed
     # form below and tests/oracles.py.
     # 5..16416 is three shards, the last holding one prime (16411)
@@ -295,31 +324,54 @@ def test_fold_matches_lehmers_difference():
     assert zeros == [73, 83, 681_251]
 
 
+def _lehmer_quarter(p):
+    # H_{floor(p/4)} - H_{floor(p/3)} = -3 q_p(2) + (3/2) q_p(3) mod p
+    # (E. Lehmer, 1938), the L'(p) that the range fold adds
+    q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
+    return (-3 * q2 + 3 * q3 * pow(2, -1, p)) % p
+
+
+def test_quarter_cut_matches_lehmers_closed_form():
+    # the range fold reads H_{floor(3p/4)} - H_n; by the theorem and
+    # H_{p-1-k} = H_k mod p at k = floor(p/4), that is L'(p), here summed one
+    # inverse per term
+    primes = [p for p in oracles.primes_upto_trial(3001) if p >= 5]
+    for p in primes:
+        assert oracles.tail_sum_mod(p // 4 + 1, p // 3, p) == -_lehmer_quarter(p) % p
+    for p in [*primes, 250_829]:
+        n = (2 * p - 1) // 3
+        assert oracles.tail_sum_mod(n + 1, 3 * p // 4, p) == _lehmer_quarter(p)
+    # below 2*10^6 the closed form is 0 at these primes only, so a kernel
+    # returning 0 passes the check there and nowhere else (1.5 s)
+    zeros = [p for p in odd_primes_iter(5, 2_000_000) if _lehmer_quarter(p) == 0]
+    assert zeros == [5, 250_829]
+
+
 def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
     # every residue of a witness is 0, so a kernel that returns only zeros
-    # would pass every record above the exact threshold; with Lehmer's L(p)
-    # added, its residue is L(p) instead, which the exact check rejects at
-    # the first prime and verify_prime's tail span at the first prime past
-    # the exact zone
+    # would pass every record above the exact threshold; with Lehmer's L'(p)
+    # added, its residue is L'(p) instead, which the exact check rejects at
+    # the first prime with L'(p) != 0, p = 7 (L'(5) = 0), and verify_prime's
+    # tail span at the first prime past the exact zone
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [0] * len(cuts))
-    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=5,"):
+    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=7, n=4: 0 != 3$"):
         verify_range(5, 20_000)
     with pytest.raises(ConsistencyError, match="disagree at p=3011$"):
         verify_range(3002, 30_000)
 
 
 def test_kernel_reading_the_wrong_cut_is_caught(monkeypatch):
-    # a kernel that returns floor(p/2)'s value at n's cut makes every span
-    # 0, which a range check summing only that span would pass; with L(p)
-    # added, each residue is L(p) instead
+    # a kernel that returns floor(3p/4)'s value at n's cut makes every span
+    # 0, which a range check summing only that span would pass; with L'(p)
+    # added, each residue is L'(p) instead
     real = modfield.harmonic_prefixes_mod
 
-    def half_cut(cuts, moduli):
+    def other_cut(cuts, moduli):
         hs = dict(zip(zip(cuts, moduli), real(cuts, moduli)))
-        wrong = {(modfield.linked_index(m)[0], m): (m // 2, m) for m in moduli}
+        wrong = {(modfield.linked_index(m)[0], m): (3 * m // 4, m) for m in moduli}
         return [hs[wrong.get(key, key)] for key in zip(cuts, moduli)]
 
-    monkeypatch.setattr(engine, "harmonic_prefixes_mod", half_cut)
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", other_cut)
     with pytest.raises(ConsistencyError, match="range fold and tail span disagree at p=3011$"):
         verify_range(3002, 30_000)
 
@@ -339,18 +391,21 @@ def test_fold_fault_is_not_reported_as_a_counterexample(monkeypatch):
 
 
 def test_shard_sums_no_term_below_its_lowest_cut(monkeypatch):
-    # the fold starts at the first prime's floor(p/2), 983063 // 2 here; a
-    # prefix from 0, or from floor(p/3), would be most of its kernel time
-    real, starts = modfield._span, []
+    # the fold runs from the first prime's n, 655375 here, to the last
+    # prime's floor(3p/4); a prefix from 0, or from floor(p/2), would be
+    # most of its kernel time
+    real, spans = modfield._span, []
 
     def spy(lo, hi, m):
-        starts.append(lo)
+        spans.append((lo, hi))
         return real(lo, hi, m)
 
     monkeypatch.setattr(modfield, "_span", spy)
     recs, _ = engine._verify_shard((983_045, 991_236))
-    assert recs[0].p == 983_063 and all(rec.ok for rec in recs)
-    assert min(starts) == 983_063 // 2 + 1 > 983_045 // 2
+    assert (recs[0].p, recs[0].n, recs[-1].p) == (983_063, 655_375, 991_229)
+    assert all(rec.ok for rec in recs)
+    assert min(lo for lo, _ in spans) == 655_375 + 1
+    assert max(hi for _, hi in spans) == 3 * 991_229 // 4
 
 
 def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):

@@ -183,12 +183,12 @@ def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
 
 
 def test_harmonic_prefixes_mod_on_a_shard_of_primes():
-    # a shard's cuts, floor(p/2) and n of the 220 primes 5..1399, folded from
-    # the lowest floor(p/2): moduli finish in most blocks, so the fold drops
+    # a shard's cuts, n and floor(3p/4) of the 220 primes 5..1399, folded
+    # from the lowest n: moduli finish in most blocks, so the fold drops
     # them several times, and many a prime has one cut either side of a
     # block edge, so a modulus dropped a block early reads wrong
     primes = [p for p in oracles.primes_upto_trial(1400) if p >= 5]
-    pairs = sorted((c, p) for p in primes for c in (p // 2, (2 * p - 1) // 3))
+    pairs = sorted((c, p) for p in primes for c in ((2 * p - 1) // 3, 3 * p // 4))
     where = {}
     for i, (_, p) in enumerate(pairs):
         where.setdefault(p, []).append(i // _BLOCK)
