@@ -102,8 +102,8 @@ def _witness_record(
     p: int, n: int, case: FormCase, residue: int, exact: Optional[int]
 ) -> WitnessRecord:
     """p's record with every check: (n, case) = linked_index(p), residue is
-    A_n mod p, and exact is the exact oracle's A_n mod p, or None above
-    DEFAULT_EXACT_THRESHOLD.  p is proved prime by the caller."""
+    A_n mod p, exact the oracle's A_n mod p or None past the threshold, and p
+    proved prime by verify_prime or, in a range, a sieve prime the fold guards."""
     # the linkage forces n = 3 (odd case) or 0 (even case) mod 4; else it is a bug
     want = 3 if case is FormCase.ODD else 0
     if n % 4 != want:
@@ -164,8 +164,8 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     # theorem itself.  Primality comes from the sieve, with no proof per
     # record: for every odd composite m but 25, (n, floor(3m/4)] holds a
     # multiple of a prime factor of m, so the kernel's inverse mod m at
-    # floor(3m/4)'s cut raises; 25 is in the exact zone, whose PrimeModulus
-    # rejects it.
+    # floor(3m/4)'s cut raises; for 25 its exact-zone PrimeModulus raises,
+    # and the one except below makes either a sieve fault.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
@@ -175,16 +175,16 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (n, 3 * p // 4))
     try:
         h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
-    except ValueError:  # the inverse mod m at a cut fails, see above
+        recs = []
+        for p, (n, case) in zip(primes, witnesses):
+            pp = p * p
+            q = (pow(27 * pow(64, -1, pp), p - 1, pp) - 1) // p
+            residue = (h[n, p] - h[3 * p // 4, p] + q * ((p + 1) // 2)) % p
+            want = residue_of(exact[n], PrimeModulus(p)).value if n in exact else None
+            recs.append(_witness_record(p, n, case, residue, want))
+    except ValueError:  # a composite's inverse or PrimeModulus fails, see above
         bad = [m for m in primes if not is_prime(m)]
         raise ConsistencyError(f"shard {lo}..{hi}: the sieve passed composite(s) {bad}") from None
-    recs = []
-    for p, (n, case) in zip(primes, witnesses):
-        pp = p * p
-        q = (pow(27 * pow(64, -1, pp), p - 1, pp) - 1) // p
-        residue = (h[n, p] - h[3 * p // 4, p] + q * ((p + 1) // 2)) % p
-        want = residue_of(exact[n], PrimeModulus(p)).value if n in exact else None
-        recs.append(_witness_record(p, n, case, residue, want))
     for rec in recs:
         if not rec.ok and verify_prime(rec.p) != rec:
             raise ConsistencyError(f"range fold and tail span disagree at p={rec.p}")

@@ -22,10 +22,8 @@ from .primes import is_prime
 _P_LIMIT = 1 << 32
 
 # harmonic_prefixes_mod reads cuts this many at a time through their own
-# moduli (16, 32 and 64 measure alike)
+# moduli (16, 32 and 64 measure alike), then divides out those with no cut left
 _BLOCK = 32
-# and shrinks its modulus once 1/_DROP of the live moduli have had their last cut
-_DROP = 4
 
 
 @dataclass(frozen=True)
@@ -136,17 +134,16 @@ def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[in
     cut and H_c = 1 + 1/2 + ... + 1/c; a first cut 0 gives H_c mod m.
 
     cuts ascend, and each m is a prime above its c.  One chained prefix fold
-    of a running (c!/b!, c!/b! (H_c - H_b)) modulo the product of the live
-    moduli (primes, so also their lcm), a block of cuts at a time: a copy
-    reduced mod the product of the block's own moduli is extended by the span
-    (c', c] from each cut before and read at c as the quotient of its two
-    halves mod m; the running value then takes the block's span product once.
-    Once a quarter of the live moduli have had their last cut, it is reduced
-    mod the product of the rest.  Terms up to b are never summed.
+    of a running (c!/b!, c!/b! (H_c - H_b)) modulo the product of the moduli
+    with a cut still ahead (primes, so also their lcm), a block of cuts at a
+    time: a copy reduced mod the product of the block's own moduli is extended
+    by the span (c', c] from each cut before and read at c as the quotient of
+    its two halves mod m; the running value then takes the block's span
+    product once, and the moduli whose last cut was in the block are divided
+    out.  Terms up to b are never summed.
     """
     last = {m: i for i, m in enumerate(moduli)}
-    live, done = set(moduli), set()
-    root, v, prev, out = prod(live), (1, 0), cuts[0] if cuts else 0, []
+    root, v, prev, out = prod(last), (1, 0), cuts[0] if cuts else 0, []
     for i in range(0, len(cuts), _BLOCK):
         block = set(moduli[i : i + _BLOCK])
         small = prod(block)
@@ -156,11 +153,7 @@ def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[in
             w, step = _mul(w, s, small), _mul(step, s, root)
             out.append(w[1] % m * pow(w[0] % m, -1, m) % m)
         v = _mul(v, step, root)
-        done |= {m for m in block if last[m] < i + _BLOCK}
-        if _DROP * len(done) >= len(live):
-            live, done = live - done, set()
-            root = prod(live)
-            v = (v[0] % root, v[1] % root)
+        root //= prod(m for m in block if last[m] < i + _BLOCK)
     return out
 
 

@@ -150,8 +150,9 @@ def test_range_run_proves_no_prime_per_record(monkeypatch):
         (3013, 3002, 3100),
         (1_002_001, 1_000_003, 1_002_100),
         (1_002_001, 1_002_001, 1_002_100),
+        (25, 25, 40),
     ],
-    ids=["9", "25", "23*131", "1001^2", "1001^2-first"],
+    ids=["9", "25", "23*131", "1001^2", "1001^2-first", "25-first"],
 )
 def test_composite_from_the_sieve_stops_the_run(monkeypatch, capsys, composite, pmin, pmax):
     # no range record proves p prime, so a composite m the sieve let through
@@ -159,7 +160,8 @@ def test_composite_from_the_sieve_stops_the_run(monkeypatch, capsys, composite, 
     # fold's inverse mod m fails at m's floor(3m/4) cut, a sieve fault that
     # names the shard and m and exits 3.  3013 is just above the exact zone,
     # and 1001 = 7*11*13; as a shard's first odd number, m's own n is the
-    # fold's first cut, so only (n, floor(3m/4)] guards it
+    # fold's first cut, so only (n, floor(3m/4)] guards it.  25 first in its
+    # shard passes the fold and is caught by its exact-zone PrimeModulus
     real = engine.odd_primes_iter
 
     def leaky(lo, hi):
@@ -179,7 +181,8 @@ def test_every_odd_composite_but_25_has_a_factor_between_its_cuts():
     # the sieve guard above, as arithmetic: for an odd composite m up to
     # 10^5, some prime factor q of m has a multiple in (n, floor(3m/4)], so
     # the fold's inverse mod m at floor(3m/4) fails even from m's own n.
-    # 25 (n = 16, floor(3m/4) = 18) is the one exception, in the exact zone
+    # 25 (n = 16, floor(3m/4) = 18) is the one exception: it is in the exact
+    # zone, whose PrimeModulus(25) raises inside the same guard
     limit = 100_000
     spf = list(range(limit + 1))  # least prime factor of each odd number
     for q in range(3, int(limit**0.5) + 1, 2):

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 import oracles
+from altharm import modfield
 from altharm.modfield import (
     _BLOCK,
     FormCase,
@@ -182,13 +184,18 @@ def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
     assert h[tops[p], p] == oracles.tail_sum_mod(base + 1, tops[p], p)
 
 
-def test_harmonic_prefixes_mod_on_a_shard_of_primes():
-    # a shard's cuts, n and floor(3p/4) of the 220 primes 5..1399, folded
-    # from the lowest n: moduli finish in most blocks, so the fold drops
-    # them several times, and many a prime has one cut either side of a
-    # block edge, so a modulus dropped a block early reads wrong
+def _shard_pairs():
+    """A shard's (cut, p): n and floor(3p/4) of the 220 primes 5..1399."""
     primes = [p for p in oracles.primes_upto_trial(1400) if p >= 5]
-    pairs = sorted((c, p) for p in primes for c in ((2 * p - 1) // 3, 3 * p // 4))
+    return sorted((c, p) for p in primes for c in ((2 * p - 1) // 3, 3 * p // 4))
+
+
+def test_harmonic_prefixes_mod_on_a_shard_of_primes():
+    # the shard's cuts folded from the lowest n: moduli finish in most
+    # blocks, so the fold divides them out block after block, and many a
+    # prime has one cut either side of a block edge, so a modulus divided
+    # out a block early reads wrong
+    pairs = _shard_pairs()
     where = {}
     for i, (_, p) in enumerate(pairs):
         where.setdefault(p, []).append(i // _BLOCK)
@@ -198,6 +205,23 @@ def test_harmonic_prefixes_mod_on_a_shard_of_primes():
     base = pairs[0][0]
     assert got == [oracles.tail_sum_mod(base + 1, c, p) for c, p in pairs]
     assert sum(g != 0 for g in got) > 400
+
+
+def test_harmonic_prefixes_mod_divides_out_each_finished_modulus(monkeypatch):
+    # once a block holding a prime's last cut is over, no reduction is taken
+    # mod a multiple of it: from the first read of the next block on (a _mul
+    # mod the product of that block's own moduli), every modulus is coprime
+    # to the primes that finished before
+    pairs = _shard_pairs()
+    moduli = [p for _, p in pairs]
+    seen, real = [], modfield._mul
+    monkeypatch.setattr(modfield, "_mul", lambda x, y, m: (seen.append(m), real(x, y, m))[1])
+    harmonic_prefixes_mod([c for c, _ in pairs], moduli)
+    last = {p: i for i, p in enumerate(moduli)}
+    for i in range(_BLOCK, len(moduli), _BLOCK):
+        start = seen.index(math.prod(set(moduli[i : i + _BLOCK])))
+        gone = math.prod(p for p, j in last.items() if j < i)
+        assert gone > 1 and all(math.gcd(m, gone) == 1 for m in seen[start:]), i
 
 
 def test_harmonic_prefixes_mod_edges():
