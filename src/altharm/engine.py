@@ -4,12 +4,12 @@ For an odd prime p >= 5, 2p-1 is 0 or 1 mod 3 (2 mod 3 would force 3 | p),
 which yields an index n with p = (3n+1)/2 (odd n) or p = (3n+2)/2 (even n).
 For that n the numerator of the alternating harmonic sum A_n is divisible
 by p; verify_prime (one tail span) and verify_range (a chained prefix fold
-from each shard's lowest n to floor(3p/4), which reflection takes to
-floor(p/4), plus Lehmer's closed form) check this for real, and below a
-threshold against the exact oracle: one chained alternating_sweep per range
-shard, or its one-index case, alternating_exact, for one prime.  p = 3 is
-the one odd prime the construction misses, and search_numerator_divisor
-proves that it divides the numerator of no A_n.
+from each shard's lowest n to floor(7p/10), which reflection takes to
+floor(3p/10), plus a closed form in Fermat and Fibonacci quotients) check
+this for real, and below a threshold against the exact oracle: one chained
+alternating_sweep per range shard, or its one-index case, alternating_exact,
+for one prime.  p = 3 is the one odd prime the construction misses, and
+search_numerator_divisor proves that it divides the numerator of no A_n.
 """
 
 import json
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .modfield import FormCase, PrimeModulus, alternating_mod, harmonic_prefixes_mod
-from .modfield import _P_LIMIT, _mul, linked_index, linked_prime
+from .modfield import _P_LIMIT, _mul, five_fibonacci_mod, linked_index, linked_prime
 from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, alternating_sweep, residue_of
@@ -151,40 +151,44 @@ def check_range(pmin: int, pmax: int) -> None:
 
 def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     # One chained prefix fold from the first cut b, the shard's lowest n (no
-    # span reaches below it), gives H_n - H_{floor(3p/4)} of every p, the
-    # unknown H_b cancelling.  floor(3p/4) = p-1-floor(p/4), so reflection,
-    # H_{p-1-k} = H_k mod p, makes that H_n - H_{floor(p/4)}, and Lehmer's
-    # L'(p) = -3 q_p(2) + (3/2) q_p(3) = H_{floor(p/4)} - H_{floor(p/3)} adds
-    # the rest of A_n = H_n - H_{floor(n/2)}, floor(n/2) = floor(p/3).
-    # L'(p) = q_p(27/64) / 2, one power mod p^2, since q_p(ab) = q_p(a) +
-    # q_p(b).  L'(p) != 0 below 2*10^6 but at 5 and 250829, so a kernel
-    # returning 0 or a wrong cut fails records, and verify_prime's Lehmer-free
-    # tail span tells a kernel fault from a counterexample.  Reflection is
-    # used at floor(p/4) only: p-1-n = floor(p/3), so at n it would be the
-    # theorem itself.  Primality comes from the sieve, with no proof per
-    # record: for every odd composite m but 25, (n, floor(3m/4)] holds a
-    # multiple of a prime factor of m, so the kernel's inverse mod m at
-    # floor(3m/4)'s cut raises; for 25 its exact-zone PrimeModulus raises,
-    # and the one except below makes either a sieve fault.
+    # span reaches below it), gives (D, N), N/D = H_c - H_b, at p's cuts n and
+    # c = floor(7p/10) = p-1-floor(3p/10).  By reflection (H_{p-1-k} = H_k mod
+    # p), Z.-H. and Z.-W. Sun's H_{floor(3p/10)} = -2 q_p(2) - (5/4) q_p(5) +
+    # (15/4) F_{p-(p/5)}/p (Acta Arith. 60, 1992) and E. Lehmer's
+    # H_{floor(p/3)} = -(3/2) q_p(3), A_n = H_n - H_{floor(p/3)} is
+    # (4 (H_n - H_c) + x)/4, x = q_p(3^6/(2^8 5^5)) + 15 F_{p-(p/5)}/p, one
+    # inverse of 4 D_n D_c per p; (p/5) is 1 at p = +-1 mod 5, else -1, and
+    # p = 5 takes verify_prime's record.  x is 0 below 2*10^6 only at 7, 11
+    # and 17 (n = c), so a kernel returning 0 or a wrong cut fails records,
+    # which verify_prime's tail span tells from counterexamples.  Primality
+    # comes from the sieve: each odd composite m but 25, 35, 49, 55, 77, 85,
+    # 119, 121, 187 and 289 (exact-zoned, where PrimeModulus raises; checked
+    # to 10^5) has a prime factor with a multiple in (n, c], so the inverse
+    # mod m raises.  With no composite found, the except reports a kernel fault.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
     witnesses = list(map(linked_index, primes))
     small = [n for n, _ in witnesses if n <= DEFAULT_EXACT_THRESHOLD]
     exact = dict(zip(small, alternating_sweep(small)))  # n ascends with p
-    cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (n, 3 * p // 4))
+    cuts = sorted((c, p) for p, (n, _) in zip(primes, witnesses) for c in (n, 7 * p // 10))
     try:
         h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
         recs = []
         for p, (n, case) in zip(primes, witnesses):
-            pp = p * p
-            q = (pow(27 * pow(64, -1, pp), p - 1, pp) - 1) // p
-            residue = (h[n, p] - h[3 * p // 4, p] + q * ((p + 1) // 2)) % p
+            if p == 5:
+                recs.append(verify_prime(5))
+                continue
+            pp, (dn, hn), (dc, hc) = p * p, h[n, p], h[7 * p // 10, p]
+            f = five_fibonacci_mod(p - 1 if p % 5 in (1, 4) else p + 1, pp) // p
+            x = (pow(729 * pow(800_000, -1, pp), p - 1, pp) - 1) // p + 3 * f
+            residue = (4 * (hn * dc - hc * dn) + x * dn * dc) * pow(4 * dn * dc, -1, p) % p
             want = residue_of(exact[n], PrimeModulus(p)).value if n in exact else None
             recs.append(_witness_record(p, n, case, residue, want))
-    except ValueError:  # a composite's inverse or PrimeModulus fails, see above
+    except ValueError:  # an inverse or PrimeModulus fails, see above
         bad = [m for m in primes if not is_prime(m)]
-        raise ConsistencyError(f"shard {lo}..{hi}: the sieve passed composite(s) {bad}") from None
+        fault = f"the sieve passed composite(s) {bad}" if bad else "range kernel fault, a D is 0"
+        raise ConsistencyError(f"shard {lo}..{hi}: {fault}") from None
     for rec in recs:
         if not rec.ok and verify_prime(rec.p) != rec:
             raise ConsistencyError(f"range fold and tail span disagree at p={rec.p}")

@@ -1,11 +1,11 @@
 """Arithmetic in Z/pZ for odd primes p.
 
 Covers canonical residues, both directions of the witness linkage p <-> n,
-the tail sum of A_n modulo p, and the pairing check that shows term by term
-why it cancels.  One prime's tail sum is one product span in Z[e]/(e^2)
-(_span); a range of primes takes differences of its harmonic prefixes from
-one chained prefix fold of the same spans, started at the range's lowest cut
-and read a block of cuts at a time modulo the block's own primes.
+the tail sum of A_n modulo p, Fibonacci numbers mod m, and the pairing check
+that shows term by term why it cancels.  One prime's tail sum is one product
+span in Z[e]/(e^2) (_span); a range of primes takes its harmonic prefixes as
+(D, N) pairs from one chained prefix fold of the same spans, started at the
+range's lowest cut and read a block of cuts at a time mod the block's primes.
 """
 
 import enum
@@ -129,18 +129,29 @@ def _mul(x: Tuple[int, int], y: Tuple[int, int], m: int) -> Tuple[int, int]:
     return d1 * d2 % m, (d1 * n2 + n1 * d2) % m
 
 
-def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[int]:
-    """(H_c - H_b) mod m for each cut c and its modulus m, where b is the first
-    cut and H_c = 1 + 1/2 + ... + 1/c; a first cut 0 gives H_c mod m.
+def five_fibonacci_mod(k: int, m: int) -> int:
+    """5 F_k = 2 V_k+1 - V_k mod m, from Lucas numbers (V_0 = 2, V_1 = 1) doubled
+    bit by bit: V_2j = V_j^2 - 2(-1)^j and V_2j+1 = V_j V_j+1 - (-1)^j."""
+    v, w, s = 2, 1, 1  # V_j, V_j+1 and (-1)^j at j = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w, s = (v * w - s) % m, (w * w + 2 * s) % m, -1
+        else:
+            v, w, s = (v * v - 2 * s) % m, (v * w - s) % m, 1
+    return (2 * w - v) % m
+
+
+def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[Tuple[int, int]]:
+    """(D, N) = (c!/b!, c!/b! (H_c - H_b)) mod m for each cut c and its modulus
+    m, b the first cut and H_c = 1 + 1/2 + ... + 1/c; a first cut 0 gives N/D = H_c.
 
     cuts ascend, and each m is a prime above its c.  One chained prefix fold
-    of a running (c!/b!, c!/b! (H_c - H_b)) modulo the product of the moduli
-    with a cut still ahead (primes, so also their lcm), a block of cuts at a
-    time: a copy reduced mod the product of the block's own moduli is extended
-    by the span (c', c] from each cut before and read at c as the quotient of
-    its two halves mod m; the running value then takes the block's span
-    product once, and the moduli whose last cut was in the block are divided
-    out.  Terms up to b are never summed.
+    of the running (D, N) mod the product of the moduli with a cut still
+    ahead (primes, so also their lcm), a block of cuts at a time: a copy mod
+    the product of the block's own moduli is extended by the span (c', c]
+    from each cut before and read at c mod m, with no inverse; the running
+    value then takes the block's span product once, and the moduli whose
+    last cut was in the block are divided out.  Terms up to b are never summed.
     """
     last = {m: i for i, m in enumerate(moduli)}
     root, v, prev, out = prod(last), (1, 0), cuts[0] if cuts else 0, []
@@ -151,7 +162,7 @@ def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[in
         for c, m in zip(cuts[i : i + _BLOCK], moduli[i : i + _BLOCK]):
             s, prev = _span(prev + 1, c, root), c
             w, step = _mul(w, s, small), _mul(step, s, root)
-            out.append(w[1] % m * pow(w[0] % m, -1, m) % m)
+            out.append((w[0] % m, w[1] % m))
         v = _mul(v, step, root)
         root //= prod(m for m in block if last[m] < i + _BLOCK)
     return out

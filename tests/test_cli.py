@@ -436,7 +436,7 @@ def test_consistency_error_exits_three(monkeypatch, capsys):
 
     def faulty(cuts, moduli):
         hs = real(cuts, moduli)
-        return [(h + ((c, m) == (6671, 10007))) % m for c, m, h in zip(cuts, moduli, hs)]
+        return [(d, (h + d * ((c, m) == (6671, 10007))) % m) for c, m, (d, h) in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", faulty)
     argv = ["verify", "--pmin", "5", "--pmax", "20000", "--jobs", "1", "--format", "jsonl", "--quiet"]

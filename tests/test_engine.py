@@ -151,17 +151,21 @@ def test_range_run_proves_no_prime_per_record(monkeypatch):
         (1_002_001, 1_000_003, 1_002_100),
         (1_002_001, 1_002_001, 1_002_100),
         (25, 25, 40),
+        (289, 289, 400),
+        (35, 35, 100),
     ],
-    ids=["9", "25", "23*131", "1001^2", "1001^2-first", "25-first"],
+    ids=["9", "25", "23*131", "1001^2", "1001^2-first", "25-first", "17^2-first", "5*7-first"],
 )
 def test_composite_from_the_sieve_stops_the_run(monkeypatch, capsys, composite, pmin, pmax):
     # no range record proves p prime, so a composite m the sieve let through
     # must still stop the run before its shard's records reach the sink: the
-    # fold's inverse mod m fails at m's floor(3m/4) cut, a sieve fault that
-    # names the shard and m and exits 3.  3013 is just above the exact zone,
-    # and 1001 = 7*11*13; as a shard's first odd number, m's own n is the
-    # fold's first cut, so only (n, floor(3m/4)] guards it.  25 first in its
-    # shard passes the fold and is caught by its exact-zone PrimeModulus
+    # inverse of m's 4 D_n D_c mod m fails once (n, floor(7m/10)] holds a
+    # multiple of a factor, a sieve fault that names the shard and m and
+    # exits 3.  3013 is just above the exact zone, and 1001 = 7*11*13; as a
+    # shard's first odd number, m's own n is the fold's first cut, so only
+    # (n, floor(7m/10)] guards it.  25, 289 and 35 first in their shards pass
+    # the fold; 35's 2^8 5^5 has no inverse mod 35^2, and 25 and 289 are
+    # caught by their exact-zone PrimeModulus
     real = engine.odd_primes_iter
 
     def leaky(lo, hi):
@@ -177,12 +181,12 @@ def test_composite_from_the_sieve_stops_the_run(monkeypatch, capsys, composite, 
     assert f"[{composite}]" in capsys.readouterr().err
 
 
-def test_every_odd_composite_but_25_has_a_factor_between_its_cuts():
+def test_odd_composites_without_a_factor_between_their_cuts_are_exact_zoned():
     # the sieve guard above, as arithmetic: for an odd composite m up to
-    # 10^5, some prime factor q of m has a multiple in (n, floor(3m/4)], so
-    # the fold's inverse mod m at floor(3m/4) fails even from m's own n.
-    # 25 (n = 16, floor(3m/4) = 18) is the one exception: it is in the exact
-    # zone, whose PrimeModulus(25) raises inside the same guard
+    # 10^5, some prime factor q of m has a multiple in (n, floor(7m/10)], so
+    # the inverse of 4 D_n D_c mod m fails even from m's own n.  The ten
+    # exceptions are all at most 3001, in the exact zone, whose
+    # PrimeModulus(m) raises inside the same guard
     limit = 100_000
     spf = list(range(limit + 1))  # least prime factor of each odd number
     for q in range(3, int(limit**0.5) + 1, 2):
@@ -191,13 +195,14 @@ def test_every_odd_composite_but_25_has_a_factor_between_its_cuts():
                 spf[k] = min(spf[k], q)
     unguarded = []
     for m in range(9, limit + 1, 2):
-        n, top, factors, r = (2 * m - 1) // 3, 3 * m // 4, set(), m
+        n, top, factors, r = (2 * m - 1) // 3, 7 * m // 10, set(), m
         while r > 1:
             factors.add(spf[r])
             r //= spf[r]
         if spf[m] < m and all(top // q == n // q for q in factors):
             unguarded.append(m)
-    assert unguarded == [25]
+    assert unguarded == [25, 35, 49, 55, 77, 85, 119, 121, 187, 289]
+    assert modfield.linked_index(max(unguarded))[0] <= engine.DEFAULT_EXACT_THRESHOLD
 
 
 def test_verify_prime_threshold_controls_exact_check():
@@ -292,9 +297,9 @@ def _records(pmin, pmax):
 def test_verify_range_fold_agrees_with_verify_prime_tail():
     # verify_range's chained prefix fold against verify_prime's tail.  Both
     # build on modfield._span but assemble it differently (a chain of spans
-    # from the shard's lowest n, plus Lehmer's closed form, against
-    # one tail span); the independent checks are the scan of Lehmer's closed
-    # form below and tests/oracles.py.
+    # from the shard's lowest n, plus a closed form, against one tail span);
+    # the independent checks are the scan of the closed form below and
+    # tests/oracles.py.
     # 5..16416 is three shards, the last holding one prime (16411)
     assert [p for p in oracles.primes_upto_trial(16416) if p >= 16389] == [16411]
     for pmax in (20_000, 16416):
@@ -304,6 +309,12 @@ def test_verify_range_fold_agrees_with_verify_prime_tail():
     recs = _records(1_000_003, 1_001_981)
     assert len(recs) == 150
     assert recs == [verify_prime(rec.p) for rec in recs]
+
+
+def _prefixes(cuts, moduli):
+    # harmonic_prefixes_mod's (D, N) pairs read as H_c - H_b = N/D mod m
+    pairs = modfield.harmonic_prefixes_mod(cuts, moduli)
+    return [n * pow(d, -1, m) % m for (d, n), m in zip(pairs, moduli)]
 
 
 def _lehmer(p):
@@ -317,8 +328,7 @@ def test_fold_matches_lehmers_difference():
     primes = [p for p in oracles.primes_upto_trial(3001) if p >= 5]
     for chunk in (primes, [681_251]):
         pairs = sorted((c, p) for p in chunk for c in (p // 3, p // 2))
-        got = modfield.harmonic_prefixes_mod([c for c, _ in pairs], [p for _, p in pairs])
-        h = dict(zip(pairs, got))
+        h = dict(zip(pairs, _prefixes([c for c, _ in pairs], [p for _, p in pairs])))
         assert [(h[p // 2, p] - h[p // 3, p]) % p for p in chunk] == [_lehmer(p) for p in chunk]
     assert oracles.tail_sum_mod(681_251 // 3 + 1, 681_251 // 2, 681_251) == 0
     # below 2*10^6 the closed form is 0 at these primes only, so a kernel
@@ -327,51 +337,96 @@ def test_fold_matches_lehmers_difference():
     assert zeros == [73, 83, 681_251]
 
 
-def _lehmer_quarter(p):
-    # H_{floor(p/4)} - H_{floor(p/3)} = -3 q_p(2) + (3/2) q_p(3) mod p
-    # (E. Lehmer, 1938), the L'(p) that the range fold adds
-    q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
-    return (-3 * q2 + 3 * q3 * pow(2, -1, p)) % p
+def _fibonacci(k, m):
+    # (F_k, F_k+1) mod m by fast doubling: F_2j = F_j (2 F_j+1 - F_j),
+    # F_2j+1 = F_j^2 + F_j+1^2
+    if k == 0:
+        return 0, 1
+    a, b = _fibonacci(k // 2, m)
+    a, b = a * (2 * b - a) % m, (a * a + b * b) % m
+    return (b, (a + b) % m) if k % 2 else (a, b)
 
 
-def test_quarter_cut_matches_lehmers_closed_form():
-    # the range fold reads H_{floor(3p/4)} - H_n; by the theorem and
-    # H_{p-1-k} = H_k mod p at k = floor(p/4), that is L'(p), here summed one
-    # inverse per term
-    primes = [p for p in oracles.primes_upto_trial(3001) if p >= 5]
-    for p in primes:
-        assert oracles.tail_sum_mod(p // 4 + 1, p // 3, p) == -_lehmer_quarter(p) % p
-    for p in [*primes, 250_829]:
-        n = (2 * p - 1) // 3
-        assert oracles.tail_sum_mod(n + 1, 3 * p // 4, p) == _lehmer_quarter(p)
-    # below 2*10^6 the closed form is 0 at these primes only, so a kernel
-    # returning 0 passes the check there and nowhere else (1.5 s)
-    zeros = [p for p in odd_primes_iter(5, 2_000_000) if _lehmer_quarter(p) == 0]
-    assert zeros == [5, 250_829]
+def _closed_form(p):
+    # x = 4 (H_{floor(3p/10)} - H_{floor(p/3)}) = -8 q_p(2) + 6 q_p(3) - 5 q_p(5)
+    # + 15 F_{p-(p/5)}/p mod p, for p not dividing 30 (Z.-H. and Z.-W. Sun,
+    # Acta Arith. 60, 1992; E. Lehmer, 1938), the x the range fold adds
+    pp = p * p
+    q2, q3, q5 = ((pow(a, p - 1, pp) - 1) // p for a in (2, 3, 5))
+    f = _fibonacci(p - 1 if p % 5 in (1, 4) else p + 1, pp)[0]
+    assert f % p == 0
+    return (-8 * q2 + 6 * q3 - 5 * q5 + 15 * (f // p)) % p
+
+
+def test_seven_tenths_cut_matches_the_closed_form():
+    # the range fold reads H_{floor(7p/10)} - H_n; by the theorem and
+    # H_{p-1-k} = H_k mod p at k = floor(3p/10), that is x/4, and
+    # H_{floor(p/3)} - H_{floor(3p/10)} is -x/4, here summed one inverse per
+    # term
+    primes = [p for p in oracles.primes_upto_trial(3001) if p >= 7]
+    for p in [*primes, 250_829, 1_006_331]:
+        n, x = (2 * p - 1) // 3, _closed_form(p)
+        assert 4 * oracles.tail_sum_mod(n + 1, 7 * p // 10, p) % p == x
+        assert 4 * oracles.tail_sum_mod(3 * p // 10 + 1, p // 3, p) % p == -x % p
+    # below 2*10^6 the closed form is 0 at these primes only, where n =
+    # floor(7p/10), so a kernel returning 0 passes the check there and
+    # nowhere else (about 3 s)
+    zeros = [p for p in odd_primes_iter(7, 2_000_000) if _closed_form(p) == 0]
+    assert zeros == [7, 11, 17]
+    assert all((2 * p - 1) // 3 == 7 * p // 10 for p in zeros)
+
+
+def test_five_takes_its_record_from_verify_prime():
+    # 5 divides 10 and q_5(5) is undefined, so the range takes 5's record
+    # from verify_prime, in a shard from 5 and alone
+    want = WitnessRecord(p=5, n=3, case=FormCase.ODD, residue=0, exact_checked=True, ok=True)
+    assert verify_prime(5) == want
+    assert _records(5, 5) == [want]
+    assert _records(3, 100)[0] == want
 
 
 def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
     # every residue of a witness is 0, so a kernel that returns only zeros
-    # would pass every record above the exact threshold; with Lehmer's L'(p)
-    # added, its residue is L'(p) instead, which the exact check rejects at
-    # the first prime with L'(p) != 0, p = 7 (L'(5) = 0), and verify_prime's
-    # tail span at the first prime past the exact zone
-    monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [0] * len(cuts))
-    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=7, n=4: 0 != 3$"):
+    # would pass every record above the exact threshold; with the closed form
+    # x added, its residue is x/4 instead, which the exact check rejects at
+    # the first prime with x != 0, p = 13 (x is 0 at 7 and 11, and 5 takes
+    # verify_prime's record), and verify_prime's tail span at the first prime
+    # past the exact zone
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [(1, 0)] * len(cuts))
+    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=13, n=8: 0 != 3$"):
         verify_range(5, 20_000)
     with pytest.raises(ConsistencyError, match="disagree at p=3011$"):
         verify_range(3002, 30_000)
 
 
+def test_zero_span_denominator_is_a_kernel_fault(monkeypatch, capsys):
+    # a span whose D is 0 mod every modulus leaves a prime's 4 D_n D_c with no
+    # inverse, as a composite from the sieve does; with every p prime, the
+    # run reports a range kernel fault and exits 3.  20000 lies between the
+    # second shard's cuts, 18128 and 21000
+    real = modfield._span
+
+    def zero_d(lo, hi, m):
+        d, n = real(lo, hi, m)
+        return (0 if lo <= 20_000 <= hi else d), n
+
+    monkeypatch.setattr(modfield, "_span", zero_d)
+    with pytest.raises(ConsistencyError, match=r"^shard 27192\.\.30000: range kernel fault"):
+        verify_range(19_000, 30_000)
+    argv = ["verify", "--pmin", "19000", "--pmax", "30000", "--jobs", "1", "--quiet"]
+    assert cli.main(argv) == 3
+    assert "range kernel fault" in capsys.readouterr().err
+
+
 def test_kernel_reading_the_wrong_cut_is_caught(monkeypatch):
-    # a kernel that returns floor(3p/4)'s value at n's cut makes every span
-    # 0, which a range check summing only that span would pass; with L'(p)
-    # added, each residue is L'(p) instead
+    # a kernel that returns floor(7p/10)'s value at n's cut makes every span
+    # 0, which a range check summing only that span would pass; with the
+    # closed form added, each residue is x/4 instead
     real = modfield.harmonic_prefixes_mod
 
     def other_cut(cuts, moduli):
         hs = dict(zip(zip(cuts, moduli), real(cuts, moduli)))
-        wrong = {(modfield.linked_index(m)[0], m): (3 * m // 4, m) for m in moduli}
+        wrong = {(modfield.linked_index(m)[0], m): (7 * m // 10, m) for m in moduli}
         return [hs[wrong.get(key, key)] for key in zip(cuts, moduli)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", other_cut)
@@ -386,7 +441,7 @@ def test_fold_fault_is_not_reported_as_a_counterexample(monkeypatch):
 
     def off_by_one(cuts, moduli):
         hs = real(cuts, moduli)
-        return [(h + ((c, m) == (2007, 3011))) % m for c, m, h in zip(cuts, moduli, hs)]
+        return [(d, (h + d * ((c, m) == (2007, 3011))) % m) for c, m, (d, h) in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)
     with pytest.raises(ConsistencyError, match="range fold and tail span disagree at p=3011$"):
@@ -395,7 +450,7 @@ def test_fold_fault_is_not_reported_as_a_counterexample(monkeypatch):
 
 def test_shard_sums_no_term_below_its_lowest_cut(monkeypatch):
     # the fold runs from the first prime's n, 655375 here, to the last
-    # prime's floor(3p/4); a prefix from 0, or from floor(p/2), would be
+    # prime's floor(7p/10); a prefix from 0, or from floor(p/2), would be
     # most of its kernel time
     real, spans = modfield._span, []
 
@@ -408,7 +463,7 @@ def test_shard_sums_no_term_below_its_lowest_cut(monkeypatch):
     assert (recs[0].p, recs[0].n, recs[-1].p) == (983_063, 655_375, 991_229)
     assert all(rec.ok for rec in recs)
     assert min(lo for lo, _ in spans) == 655_375 + 1
-    assert max(hi for _, hi in spans) == 3 * 991_229 // 4
+    assert max(hi for _, hi in spans) == 7 * 991_229 // 10
 
 
 def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
@@ -419,7 +474,7 @@ def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
 
     def off_by_one(cuts, moduli):
         hs = real(cuts, moduli)
-        return [(h + ((c, m) == (2007, 3011))) % m for c, m, h in zip(cuts, moduli, hs)]
+        return [(d, (h + d * ((c, m) == (2007, 3011))) % m) for c, m, (d, h) in zip(cuts, moduli, hs)]
 
     def tail_off_by_one(n, pm):
         r = real_tail(n, pm)
@@ -448,7 +503,7 @@ def test_range_exact_check_catches_a_wrong_fold_value(monkeypatch):
 
     def off_by_one(cuts, moduli):
         hs = real(cuts, moduli)
-        return [(h + ((c, m) == (1999, 2999))) % m for c, m, h in zip(cuts, moduli, hs)]
+        return [(d, (h + d * ((c, m) == (1999, 2999))) % m) for c, m, (d, h) in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", off_by_one)
     for pmin, pmax in ((2999, 3011), (5, 3001)):
@@ -458,10 +513,11 @@ def test_range_exact_check_catches_a_wrong_fold_value(monkeypatch):
 
 def test_range_exact_check_catches_a_wrong_sweep(monkeypatch):
     # a sweep one index behind hands every prime A_{n-1} = -(-1)^(n-1)/n mod p,
-    # which is not 0, so the first exact-checked record must fail
+    # which is not 0, so the first record checked against it must fail: 7's,
+    # as 5 takes verify_prime's record, checked by alternating_exact
     real = engine.alternating_sweep
     monkeypatch.setattr(engine, "alternating_sweep", lambda ns: real([n - 1 for n in ns]))
-    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=5"):
+    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=7"):
         verify_range(5, 3001)
 
 

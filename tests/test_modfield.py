@@ -14,6 +14,7 @@ from altharm.modfield import (
     _inverse_range,
     _span,
     alternating_mod,
+    five_fibonacci_mod,
     harmonic_prefixes_mod,
     pairing_defect,
 )
@@ -108,6 +109,12 @@ def test_span_tails_agree_across_the_word_boundary():
 _LONG_SPAN = 512
 
 
+def _prefixes(cuts, moduli):
+    # harmonic_prefixes_mod's (D, N) pairs read as H_c - H_b = N/D mod m
+    pairs = harmonic_prefixes_mod(cuts, moduli)
+    return [n * pow(d, -1, m) % m for (d, n), m in zip(pairs, moduli)]
+
+
 def _random_prefix_case(rng, leaves, primes):
     # ascending cuts, each below its own prime
     pairs = []
@@ -133,7 +140,7 @@ def test_harmonic_prefixes_mod_matches_both_oracles(leaves):
     for _ in range(4):
         cuts, moduli = _random_prefix_case(rng, leaves, primes)
         for base in (0, rng.randrange(1, cuts[0] + 1), cuts[0]):
-            first, *got = harmonic_prefixes_mod([base] + cuts, moduli[:1] + moduli)
+            first, *got = _prefixes([base] + cuts, moduli[:1] + moduli)
             assert first == 0
             want = [oracles.tail_sum_mod(base + 1, c, m) for c, m in zip(cuts, moduli)]
             exact = [
@@ -153,7 +160,7 @@ def test_harmonic_prefixes_mod_on_shifted_witness_cuts():
     pairs = sorted((c, p) for p in primes for c in (p // 3, (2 * p - 1) // 3 - 1))
     pairs[:0] = [(0, primes[0]), (17, primes[-1])]
     cuts, moduli = [c for c, _ in pairs], [p for _, p in pairs]
-    h = dict(zip(pairs, harmonic_prefixes_mod(cuts, moduli)))
+    h = dict(zip(pairs, _prefixes(cuts, moduli)))
     assert h[17, primes[-1]] == oracles.tail_sum_mod(1, 17, primes[-1])
     for p in primes:
         low, top = p // 3, (2 * p - 1) // 3 - 1
@@ -175,7 +182,7 @@ def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
     pairs = sorted((c, p) for p in primes for c in (p // 3, p // 2, tops[p]))
     base = primes[0] // 3
     assert pairs[0] == (base, primes[0])
-    h = dict(zip(pairs, harmonic_prefixes_mod([c for c, _ in pairs], [p for _, p in pairs])))
+    h = dict(zip(pairs, _prefixes([c for c, _ in pairs], [p for _, p in pairs])))
     for p in primes:
         assert h[p // 3, p] == oracles.tail_sum_mod(base + 1, p // 3, p)
         assert h[p // 2, p] == _span_tail(base + 1, p // 2, p) != 0
@@ -185,9 +192,9 @@ def test_harmonic_prefixes_mod_from_the_lowest_cut_near_a_million():
 
 
 def _shard_pairs():
-    """A shard's (cut, p): n and floor(3p/4) of the 220 primes 5..1399."""
+    """A shard's (cut, p): n and floor(7p/10) of the 220 primes 5..1399."""
     primes = [p for p in oracles.primes_upto_trial(1400) if p >= 5]
-    return sorted((c, p) for p in primes for c in ((2 * p - 1) // 3, 3 * p // 4))
+    return sorted((c, p) for p in primes for c in ((2 * p - 1) // 3, 7 * p // 10))
 
 
 def test_harmonic_prefixes_mod_on_a_shard_of_primes():
@@ -201,7 +208,7 @@ def test_harmonic_prefixes_mod_on_a_shard_of_primes():
         where.setdefault(p, []).append(i // _BLOCK)
     assert len({last for _, last in where.values()}) >= 8
     assert sum(last == first + 1 for first, last in where.values()) >= 20
-    got = harmonic_prefixes_mod([c for c, _ in pairs], [p for _, p in pairs])
+    got = _prefixes([c for c, _ in pairs], [p for _, p in pairs])
     base = pairs[0][0]
     assert got == [oracles.tail_sum_mod(base + 1, c, p) for c, p in pairs]
     assert sum(g != 0 for g in got) > 400
@@ -228,9 +235,29 @@ def test_harmonic_prefixes_mod_edges():
     assert harmonic_prefixes_mod([], []) == []
     # H_0 = 0, equal cuts (an empty span), and a cut one below its modulus,
     # where H_{p-1} = 0 mod p (Wolstenholme, p > 3) and H_{p-2} = 1
-    assert harmonic_prefixes_mod([0, 3, 3, 11, 12], [13, 7, 5, 13, 13]) == [
-        0, 11 * pow(6, -1, 7) % 7, 11 * pow(6, -1, 5) % 5, 1, 0,
+    cuts, moduli = [0, 3, 3, 11, 12], [13, 7, 5, 13, 13]
+    assert _prefixes(cuts, moduli) == [0, 11 * pow(6, -1, 7) % 7, 11 * pow(6, -1, 5) % 5, 1, 0]
+    # the pairs themselves, uninverted: D = c!/b! and N = D (H_c - H_b), b = 0
+    assert harmonic_prefixes_mod(cuts, moduli) == [
+        (math.factorial(c) % m, residue_of(math.factorial(c) * harmonic_exact(c), PrimeModulus(m)).value)
+        for c, m in zip(cuts, moduli)
     ]
+    # from a first cut b = 4, D = c!/4!
+    cuts, moduli = [4, 9, 12, 12], [5, 11, 13, 17]
+    d, _ = zip(*harmonic_prefixes_mod(cuts, moduli))
+    assert d == tuple(math.factorial(c) // 24 % m for c, m in zip(cuts, moduli))
+
+
+def test_five_fibonacci_mod_against_the_recurrence():
+    fib = [0, 1]
+    while len(fib) < 300:
+        fib.append(fib[-1] + fib[-2])
+    for m in (7, 25, 1009**2, 2**61 - 1, 10**40):
+        assert [five_fibonacci_mod(k, m) for k in range(300)] == [5 * f % m for f in fib]
+    # F_{p-(p/5)} is 0 mod p, and its quotient by p is what the range adds
+    for p in (7, 11, 1_006_331):
+        k = p - 1 if p % 5 in (1, 4) else p + 1
+        assert five_fibonacci_mod(k, p * p) % p == 0
 
 
 @pytest.mark.parametrize("n,p,want", [(7, 11, 0), (4, 7, 0), (2, 5, 3)])
