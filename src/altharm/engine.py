@@ -157,14 +157,15 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     # (15/4) F_{p-(p/5)}/p (Acta Arith. 60, 1992) and E. Lehmer's
     # H_{floor(p/3)} = -(3/2) q_p(3), A_n = H_n - H_{floor(p/3)} is
     # (4 (H_n - H_c) + x)/4, x = q_p(3^6/(2^8 5^5)) + 15 F_{p-(p/5)}/p, one
-    # inverse of 4 D_n D_c per p; (p/5) is 1 at p = +-1 mod 5, else -1, and
-    # p = 5 takes verify_prime's record.  x is 0 below 2*10^6 only at 7, 11
-    # and 17 (n = c), so a kernel returning 0 or a wrong cut fails records,
-    # which verify_prime's tail span tells from counterexamples.  Primality
-    # comes from the sieve: each odd composite m but 25, 35, 49, 55, 77, 85,
-    # 119, 121, 187 and 289 (exact-zoned, where PrimeModulus raises; checked
-    # to 10^5) has a prime factor with a multiple in (n, c], so the inverse
-    # mod m raises.  With no composite found, the except reports a kernel fault.
+    # inverse of 4 D_n D_c per p; (p/5) is 1 at p = +-1 mod 5, else -1.  n = c
+    # only at 5 (where the form is undefined), 7, 11 and 17: there x = 0 with
+    # no closed form taken, and x is 0 nowhere else below 2*10^6, so a kernel
+    # returning 0 or a wrong cut fails records, which verify_prime's tail span
+    # tells from counterexamples.  Primality comes from the sieve: each odd
+    # composite m but 25, 35, 49, 55, 77, 85, 119, 121, 187 and 289
+    # (exact-zoned, where PrimeModulus raises; checked to 10^5) has a prime
+    # factor with a multiple in (n, c], so the inverse mod m raises.  With no
+    # composite found, the except reports a kernel fault.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
@@ -176,12 +177,11 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
         h = dict(zip(cuts, harmonic_prefixes_mod([c for c, _ in cuts], [p for _, p in cuts])))
         recs = []
         for p, (n, case) in zip(primes, witnesses):
-            if p == 5:
-                recs.append(verify_prime(5))
-                continue
-            pp, (dn, hn), (dc, hc) = p * p, h[n, p], h[7 * p // 10, p]
-            f = five_fibonacci_mod(p - 1 if p % 5 in (1, 4) else p + 1, pp) // p
-            x = (pow(729 * pow(800_000, -1, pp), p - 1, pp) - 1) // p + 3 * f
+            c, x = 7 * p // 10, 0
+            pp, (dn, hn), (dc, hc) = p * p, h[n, p], h[c, p]
+            if c > n:
+                f = five_fibonacci_mod(p - 1 if p % 5 in (1, 4) else p + 1, pp) // p
+                x = (pow(729 * pow(800_000, -1, pp), p - 1, pp) - 1) // p + 3 * f
             residue = (4 * (hn * dc - hc * dn) + x * dn * dc) * pow(4 * dn * dc, -1, p) % p
             want = residue_of(exact[n], PrimeModulus(p)).value if n in exact else None
             recs.append(_witness_record(p, n, case, residue, want))

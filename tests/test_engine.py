@@ -107,6 +107,10 @@ def test_verify_prime_rejects_2_3_and_composites():
     for p in (-7, 0, 1, 4, 9, 15, 25, 35, 561):
         with pytest.raises(ValueError, match="prime"):
             verify_prime(p)
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        verify_prime(9)
+    with pytest.raises(ValueError, match="^modulus must be an odd prime >= 3, got 1$"):
+        verify_prime(1)
 
 
 def test_verify_prime_proves_primality_once(monkeypatch):
@@ -376,11 +380,19 @@ def test_seven_tenths_cut_matches_the_closed_form():
     assert all((2 * p - 1) // 3 == 7 * p // 10 for p in zeros)
 
 
-def test_five_takes_its_record_from_verify_prime():
-    # 5 divides 10 and q_5(5) is undefined, so the range takes 5's record
-    # from verify_prime, in a shard from 5 and alone
+def test_five_is_read_through_the_fold(monkeypatch):
+    # 5 divides 10 and q_5(5) is undefined, but n = floor(7p/10) there, so x
+    # is 0 with no closed form; below 10^6 the cuts meet only at these primes
+    primes = odd_primes_iter(5, 10**6)
+    assert [p for p in primes if (2 * p - 1) // 3 == 7 * p // 10] == [5, 7, 11, 17]
+
+    def no_verify_prime(p):
+        raise AssertionError(f"verify_prime({p}) in a range")
+
+    # the range reads 5, in a shard from 5 and alone, without verify_prime
     want = WitnessRecord(p=5, n=3, case=FormCase.ODD, residue=0, exact_checked=True, ok=True)
     assert verify_prime(5) == want
+    monkeypatch.setattr(engine, "verify_prime", no_verify_prime)
     assert _records(5, 5) == [want]
     assert _records(3, 100)[0] == want
 
@@ -389,9 +401,9 @@ def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
     # every residue of a witness is 0, so a kernel that returns only zeros
     # would pass every record above the exact threshold; with the closed form
     # x added, its residue is x/4 instead, which the exact check rejects at
-    # the first prime with x != 0, p = 13 (x is 0 at 7 and 11, and 5 takes
-    # verify_prime's record), and verify_prime's tail span at the first prime
-    # past the exact zone
+    # the first prime with x != 0, p = 13 (x is 0 at 5, 7 and 11, where n =
+    # floor(7p/10)), and verify_prime's tail span at the first prime past the
+    # exact zone
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [(1, 0)] * len(cuts))
     with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=13, n=8: 0 != 3$"):
         verify_range(5, 20_000)
@@ -513,11 +525,11 @@ def test_range_exact_check_catches_a_wrong_fold_value(monkeypatch):
 
 def test_range_exact_check_catches_a_wrong_sweep(monkeypatch):
     # a sweep one index behind hands every prime A_{n-1} = -(-1)^(n-1)/n mod p,
-    # which is not 0, so the first record checked against it must fail: 7's,
-    # as 5 takes verify_prime's record, checked by alternating_exact
+    # which is not 0, so the first record checked against it must fail: 5's,
+    # whose A_2 = 1/2 is 3 mod 5
     real = engine.alternating_sweep
     monkeypatch.setattr(engine, "alternating_sweep", lambda ns: real([n - 1 for n in ns]))
-    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=7"):
+    with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=5, n=3: 3 != 0$"):
         verify_range(5, 3001)
 
 
