@@ -15,8 +15,7 @@ search_numerator_divisor proves that it divides the numerator of no A_n.
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .modfield import FormCase, PrimeModulus, alternating_mod, harmonic_prefixes_mod
 from .modfield import _P_LIMIT, _mul, five_fibonacci_mod, linked_index, linked_prime
@@ -60,8 +59,7 @@ def classify_index(n: int) -> Optional[Tuple[int, FormCase]]:
     return cand, case
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     """One verified (p, n) instance: residue of A_n mod p and how it was checked."""
 
     p: int
@@ -129,16 +127,15 @@ def verify_prime(p: int) -> WitnessRecord:
     return _witness_record(p, n, case, alternating_mod(n, pm).value, want)
 
 
-@dataclass
-class RangeSummary:
+class RangeSummary(NamedTuple):
     """Aggregate outcome of verifying the odd primes in [pmin, pmax]."""
 
     pmin: int
     pmax: int
-    verified_count: int = 0
-    failure_count: int = 0
-    skipped: List[Tuple[int, str]] = field(default_factory=list)
-    elapsed: float = 0.0
+    verified_count: int
+    failure_count: int
+    skipped: List[Tuple[int, str]]
+    elapsed: float
 
 
 def check_range(pmin: int, pmax: int) -> None:
@@ -160,12 +157,12 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
     # inverse of 4 D_n D_c per p; (p/5) is 1 at p = +-1 mod 5, else -1.  n = c
     # only at 5 (where the form is undefined), 7, 11 and 17: there x = 0 with
     # no closed form taken, and x is 0 nowhere else below 2*10^6, so a kernel
-    # returning 0 or a wrong cut fails records, which verify_prime's tail span
-    # tells from counterexamples.  Primality comes from the sieve: each odd
-    # composite m but 25, 35, 49, 55, 77, 85, 119, 121, 187 and 289
-    # (exact-zoned, where PrimeModulus raises; checked to 10^5) has a prime
-    # factor with a multiple in (n, c], so the inverse mod m raises.  With no
-    # composite found, the except reports a kernel fault.
+    # returning 0 or a wrong cut fails records, which the tail span
+    # (alternating_mod) tells from counterexamples.  Primality comes from the
+    # sieve: each odd composite m but 25, 35, 49, 55, 77, 85, 119, 121, 187
+    # and 289 (exact-zoned, where PrimeModulus raises; checked to 10^5) has a
+    # prime factor with a multiple in (n, c], so the inverse mod m raises.
+    # With no composite found, the except reports a kernel fault.
     lo, hi = args
     t0 = time.perf_counter()
     primes = list(odd_primes_iter(lo, hi))
@@ -190,7 +187,7 @@ def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
         fault = f"the sieve passed composite(s) {bad}" if bad else "range kernel fault, a D is 0"
         raise ConsistencyError(f"shard {lo}..{hi}: {fault}") from None
     for rec in recs:
-        if not rec.ok and verify_prime(rec.p) != rec:
+        if not rec.ok and alternating_mod(rec.n, PrimeModulus(rec.p)).value != rec.residue:
             raise ConsistencyError(f"range fold and tail span disagree at p={rec.p}")
     return recs, time.perf_counter() - t0
 
@@ -209,14 +206,13 @@ def verify_range(
     range is cut into fixed shards, worked by up to jobs processes (at most
     one per CPU), and merged back in order.  p = 3 inside the range is
     recorded as skipped.  A failing record (ok=False) is counted, not
-    raised, once verify_prime gives the same record.  progress, if given,
+    raised, once the tail span gives the same residue.  progress, if given,
     is called per completed shard with (lo, hi, record_count, seconds).
     """
     check_range(pmin, pmax)
     start = time.perf_counter()
-    summary = RangeSummary(pmin=pmin, pmax=pmax)
-    if pmin <= 3 <= pmax:
-        summary.skipped.append((3, "proof inapplicable"))
+    skipped = [(3, "proof inapplicable")] if pmin <= 3 <= pmax else []
+    verified = failures = 0
 
     shard_args = [
         (lo, min(lo + _SHARD_WIDTH - 1, pmax))
@@ -234,9 +230,9 @@ def verify_range(
         for (lo, hi), (recs, seconds) in zip(shard_args, shards):
             for rec in recs:
                 if rec.ok:
-                    summary.verified_count += 1
+                    verified += 1
                 else:
-                    summary.failure_count += 1
+                    failures += 1
                 if record_sink is not None:
                     record_sink(rec)
             if progress is not None:
@@ -247,8 +243,7 @@ def verify_range(
         if pool:
             pool.shutdown(cancel_futures=True)
 
-    summary.elapsed = time.perf_counter() - start
-    return summary
+    return RangeSummary(pmin, pmax, verified, failures, skipped, time.perf_counter() - start)
 
 
 def search_numerator_divisor(p: int, nmax: int) -> List[int]:

@@ -9,9 +9,8 @@ range's lowest cut and read a block of cuts at a time mod the block's primes.
 """
 
 import enum
-from dataclasses import dataclass
 from math import prod
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .primes import is_prime
 
@@ -26,31 +25,30 @@ _P_LIMIT = 1 << 32
 _BLOCK = 32
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+class PrimeModulus(NamedTuple("PrimeModulus", [("p", int)])):
     """An odd prime below 2^64; constructing one is the package's odd-prime check."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 3:
-            raise ValueError(f"modulus must be an odd prime >= 3, got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p: int) -> "PrimeModulus":
+        if p < 3:
+            raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(NamedTuple("Residue", [("value", int), ("modulus", PrimeModulus)])):
     """An element of Z/pZ stored as its canonical representative in [0, p)."""
 
-    value: int
-    modulus: PrimeModulus
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.p:
+    def __new__(cls, value: int, modulus: PrimeModulus) -> "Residue":
+        if not 0 <= value < modulus.p:
             raise ValueError(
-                f"residue {self.value} outside [0, {self.modulus.p})"
+                f"residue {value} outside [0, {modulus.p})"
             )
+        return super().__new__(cls, value, modulus)
 
     def __int__(self) -> int:
         return self.value

@@ -1,9 +1,8 @@
 """Deterministic 64-bit primality testing and segmented prime sieving."""
 
 import math
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 # Candidates per sieve segment: keeps the working mask cache-resident and
 # bounds the mask of any one sieve_range call.
@@ -47,18 +46,17 @@ def is_prime(x: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeRange:
+class PrimeRange(NamedTuple("PrimeRange", [("lo", int), ("hi", int)])):
     """Inclusive integer interval [lo, hi] to be sieved."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo < 0:
-            raise ValueError(f"range bounds must be nonnegative, got lo={self.lo}")
-        if self.lo > self.hi:
-            raise ValueError(f"empty range: lo={self.lo} > hi={self.hi}")
+    def __new__(cls, lo: int, hi: int) -> "PrimeRange":
+        if lo < 0:
+            raise ValueError(f"range bounds must be nonnegative, got lo={lo}")
+        if lo > hi:
+            raise ValueError(f"empty range: lo={lo} > hi={hi}")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> int:

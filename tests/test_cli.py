@@ -430,8 +430,8 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
 
 def test_consistency_error_exits_three(monkeypatch, capsys):
     # a kernel fault in the second shard: H_n of p = 10007 (n = 6671) off by
-    # one fails its record, which verify_prime's tail span does not; the
-    # first shard's records are already out
+    # one fails its record, which the tail span does not; the first shard's
+    # records are already out
     real = modfield.harmonic_prefixes_mod
 
     def faulty(cuts, moduli):
@@ -506,6 +506,16 @@ def test_exact_loads_no_process_pool():
     )
     assert r.returncode == 0 and r.stdout == "1/1\n"
     assert "altharm.engine" in r.stderr and "concurrent.futures.process" not in r.stderr
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses and the inspect it imports were most of the package's own
+    # start-up cost; the value types are named tuples
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, altharm.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=oracles.child_env(), timeout=300,
+    )
+    assert r.returncode == 0 and r.stdout == "False\n", r.stderr
 
 
 def test_no_command_is_usage_error():

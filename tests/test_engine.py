@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import pickle
 
 import pytest
 
@@ -231,6 +232,50 @@ def test_record_serialization():
     assert row_to_csv(RECORD_FIELDS) == "p,n,case,residue,exact_checked,ok"
 
 
+_VALUES = {
+    "WitnessRecord": (
+        lambda: WitnessRecord(p=5, n=3, case=FormCase.ODD, residue=0, exact_checked=True, ok=True),
+        "WitnessRecord(p=5, n=3, case=<FormCase.ODD: 'odd'>, residue=0, exact_checked=True, ok=True)",
+    ),
+    "RangeSummary": (
+        lambda: altharm.RangeSummary(3, 7, 2, 0, [(3, "proof inapplicable")], 0.5),
+        "RangeSummary(pmin=3, pmax=7, verified_count=2, failure_count=0, "
+        "skipped=[(3, 'proof inapplicable')], elapsed=0.5)",
+    ),
+    "PrimeModulus": (lambda: altharm.PrimeModulus(7), "PrimeModulus(p=7)"),
+    "Residue": (
+        lambda: altharm.Residue(0, altharm.PrimeModulus(7)),
+        "Residue(value=0, modulus=PrimeModulus(p=7))",
+    ),
+    "PrimeRange": (lambda: altharm.PrimeRange(10, 30), "PrimeRange(lo=10, hi=30)"),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_value_types_compare_by_fields_and_refuse_writes(name):
+    make, text = _VALUES[name]
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == b and a is not b
+    assert a == tuple(a)  # named tuples: a value equals the plain tuple of its fields
+    if name == "RangeSummary":
+        with pytest.raises(TypeError):  # its skipped list makes it unhashable
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+
+
+def test_record_survives_pickling_as_its_fields():
+    # records cross the verify pool pickled
+    rec = verify_prime(3011)
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is WitnessRecord
+    assert rec == (3011, 2007, FormCase.ODD, 0, False, True)
+
+
 @pytest.mark.parametrize(
     "fields,row",
     [
@@ -402,7 +447,7 @@ def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
     # would pass every record above the exact threshold; with the closed form
     # x added, its residue is x/4 instead, which the exact check rejects at
     # the first prime with x != 0, p = 13 (x is 0 at 5, 7 and 11, where n =
-    # floor(7p/10)), and verify_prime's tail span at the first prime past the
+    # floor(7p/10)), and the tail span recheck at the first prime past the
     # exact zone
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", lambda cuts, moduli: [(1, 0)] * len(cuts))
     with pytest.raises(ConsistencyError, match="exact/modular mismatch at p=13, n=8: 0 != 3$"):
@@ -447,8 +492,8 @@ def test_kernel_reading_the_wrong_cut_is_caught(monkeypatch):
 
 
 def test_fold_fault_is_not_reported_as_a_counterexample(monkeypatch):
-    # the fold off by one at H_n of p = 3011 while verify_prime's tail is
-    # right: the failed record is a kernel fault, so the run stops
+    # the fold off by one at H_n of p = 3011 while the tail span is right:
+    # the failed record is a kernel fault, so the run stops
     real = modfield.harmonic_prefixes_mod
 
     def off_by_one(cuts, moduli):
@@ -480,8 +525,8 @@ def test_shard_sums_no_term_below_its_lowest_cut(monkeypatch):
 
 def test_nonzero_tail_is_counted_not_raised(monkeypatch, capsys):
     # a counterexample at the seam: A_n of p = 3011 (n = 2007, past the exact
-    # threshold) is off by one in the range fold and in verify_prime's tail
-    # alike, so the recheck agrees and the record stands
+    # threshold) is off by one in the range fold and in the tail span alike,
+    # so the recheck agrees and the record stands
     real, real_tail = modfield.harmonic_prefixes_mod, engine.alternating_mod
 
     def off_by_one(cuts, moduli):
