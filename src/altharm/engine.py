@@ -12,7 +12,6 @@ for one prime.  p = 3 is the one odd prime the construction misses, and
 search_numerator_divisor proves that it divides the numerator of no A_n.
 """
 
-import json
 import os
 import time
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -70,7 +69,7 @@ class WitnessRecord(NamedTuple):
     ok: bool
 
 
-RECORD_FIELDS = ("p", "n", "case", "residue", "exact_checked", "ok")
+RECORD_FIELDS = WitnessRecord._fields
 
 
 def record_row(rec: WitnessRecord) -> tuple:
@@ -78,8 +77,8 @@ def record_row(rec: WitnessRecord) -> tuple:
     return rec.p, rec.n, rec.case.value, rec.residue, rec.exact_checked, rec.ok
 
 
-# a row value's JSON text by its type: rows hold only bools, ints and strings
-_JSON_VALUE = {bool: lambda v: "true" if v else "false", int: str, str: json.dumps}
+# a row value's JSON text by type: bools, ints and case tags (identifiers, unescaped)
+_JSON_VALUE = {bool: lambda v: "true" if v else "false", int: str, str: '"{}"'.format}
 
 
 def row_to_json(fields: Sequence[str], row: Sequence) -> str:

@@ -283,13 +283,26 @@ def test_record_survives_pickling_as_its_fields():
         (RECORD_FIELDS, (11, 7, "odd", 5, True, False)),
         (("p", "n"), (7, 100_000)),
         (("p", "k", "a", "b", "residue"), (101, 1, 34, 67, 0)),
-        # strings that need escaping: a quote, a backslash, non-ASCII
-        (("p", "case"), (5, 'a"b\\c\u00e9')),
     ],
-    ids=["verify", "verify-fail", "search", "pair-check", "escaped"],
+    ids=["verify", "verify-fail", "search", "pair-check"],
 )
 def test_row_to_json_matches_json_dumps(fields, row):
     assert row_to_json(fields, row) == json.dumps(dict(zip(fields, row)), separators=(",", ":"))
+
+
+def test_case_tags_need_no_json_escaping():
+    # row_to_json writes a string between quotes as it is; the case tag is the
+    # only string a row holds, so a tag that json.dumps would escape (a quote,
+    # a backslash, a control or non-ASCII character) must fail here
+    assert all(case.value.isascii() and case.value.isidentifier() for case in FormCase)
+    assert RECORD_FIELDS == WitnessRecord._fields
+
+
+def test_record_rows_match_json_dumps():
+    for rec in _records(5, 3001):
+        row = record_row(rec)
+        want = json.dumps(dict(zip(RECORD_FIELDS, row)), separators=(",", ":"))
+        assert row_to_json(RECORD_FIELDS, row) == want
 
 
 def test_verify_range_small():
@@ -429,17 +442,21 @@ def test_five_is_read_through_the_fold(monkeypatch):
     # 5 divides 10 and q_5(5) is undefined, but n = floor(7p/10) there, so x
     # is 0 with no closed form; below 10^6 the cuts meet only at these primes
     primes = odd_primes_iter(5, 10**6)
-    assert [p for p in primes if (2 * p - 1) // 3 == 7 * p // 10] == [5, 7, 11, 17]
+    met = [p for p in primes if (2 * p - 1) // 3 == 7 * p // 10]
+    assert met == [5, 7, 11, 17]
 
-    def no_verify_prime(p):
-        raise AssertionError(f"verify_prime({p}) in a range")
+    def raises(*args):
+        raise AssertionError(f"closed form or tail span called with {args}")
 
-    # the range reads 5, in a shard from 5 and alone, without verify_prime
-    want = WitnessRecord(p=5, n=3, case=FormCase.ODD, residue=0, exact_checked=True, ok=True)
-    assert verify_prime(5) == want
-    monkeypatch.setattr(engine, "verify_prime", no_verify_prime)
-    assert _records(5, 5) == [want]
-    assert _records(3, 100)[0] == want
+    # the range reads each of them, alone in its shard, with neither the
+    # closed form nor the tail span recheck (13 needs the closed form)
+    want = {p: verify_prime(p) for p in met}
+    monkeypatch.setattr(engine, "five_fibonacci_mod", raises)
+    monkeypatch.setattr(engine, "alternating_mod", raises)
+    for p in met:
+        assert _records(p, p) == [want[p]]
+    with pytest.raises(AssertionError, match="closed form"):
+        _records(13, 13)
 
 
 def test_zero_kernel_is_caught_by_lehmers_congruence(monkeypatch):
