@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 from .engine import (
     RECORD_FIELDS,
     check_range,
-    record_row,
     row_to_csv,
     row_to_json,
     search_numerator_divisor,
@@ -184,7 +183,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     rec = verify_prime(args.p)
-    _row_writer(sys.stdout, args.format, RECORD_FIELDS, _record_human)([record_row(rec)])
+    _row_writer(sys.stdout, args.format, RECORD_FIELDS, _record_human)([rec])
     return EXIT_OK if rec.ok else EXIT_FAILED_CHECK
 
 
@@ -217,7 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             args.pmin,
             args.pmax,
             jobs=args.jobs,
-            record_sink=lambda rec: write([record_row(rec)]),
+            record_sink=lambda rec: write([rec]),
             progress=None if args.quiet else progress,
         )
 
@@ -258,7 +257,7 @@ def cmd_pair_check(args: argparse.Namespace) -> int:
     _row_writer(sys.stdout, args.format, ("p", "k", "a", "b", "residue"), _pair_human)(rows)
     all_zero = all(r.value == 0 for r in defects)
     print(
-        f"pair-check p={p} n={n} case={case.value}: {len(defects)} pairs, "
+        f"pair-check p={p} n={n} case={case}: {len(defects)} pairs, "
         f"{'all cancel' if all_zero else 'NONZERO DEFECT'}",
         file=sys.stderr,
     )

@@ -71,14 +71,9 @@ class WitnessRecord(NamedTuple):
 
 RECORD_FIELDS = WitnessRecord._fields
 
-
-def record_row(rec: WitnessRecord) -> tuple:
-    """The record's values in RECORD_FIELDS order, the case as its lowercase tag."""
-    return rec.p, rec.n, rec.case.value, rec.residue, rec.exact_checked, rec.ok
-
-
 # a row value's JSON text by type: bools, ints and case tags (identifiers, unescaped)
-_JSON_VALUE = {bool: lambda v: "true" if v else "false", int: str, str: '"{}"'.format}
+_JSON_VALUE = {bool: lambda v: "true" if v else "false", int: str,
+               FormCase: lambda c: f'"{c.value}"'}
 
 
 def row_to_json(fields: Sequence[str], row: Sequence) -> str:
@@ -92,7 +87,7 @@ def row_to_csv(row: Sequence) -> str:
 
 
 def record_to_json(rec: WitnessRecord) -> str:
-    return row_to_json(RECORD_FIELDS, record_row(rec))
+    return row_to_json(RECORD_FIELDS, rec)
 
 
 def _witness_record(
@@ -104,7 +99,7 @@ def _witness_record(
     # the linkage forces n = 3 (odd case) or 0 (even case) mod 4; else it is a bug
     want = 3 if case is FormCase.ODD else 0
     if n % 4 != want:
-        raise ConsistencyError(f"{case.value} witness n={n} for p={p} is not {want} mod 4")
+        raise ConsistencyError(f"{case} witness n={n} for p={p} is not {want} mod 4")
     if exact is not None and exact != residue:
         raise ConsistencyError(f"exact/modular mismatch at p={p}, n={n}: {exact} != {residue}")
     return WitnessRecord(

@@ -55,14 +55,17 @@ class Residue(NamedTuple("Residue", [("value", int), ("modulus", PrimeModulus)])
 
 
 class FormCase(enum.Enum):
-    """Which witness construction applies.
+    """Which witness construction applies; a member prints as its wire tag.
 
     ODD pairs an odd index n with p = (3n+1)/2; EVEN pairs an even index n
-    with p = (3n+2)/2.  The wire tags are the lowercase member values.
+    with p = (3n+2)/2.  str(), f-strings and format() give the lowercase value.
     """
 
     ODD = "odd"
     EVEN = "even"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 def linked_prime(n: int) -> Tuple[int, FormCase]:

@@ -387,6 +387,7 @@ def test_pair_check():
     assert [(row["a"], row["b"], row["residue"]) for row in rows] == [
         (4, 7, 0), (5, 6, 0),
     ]
+    assert r.stderr.splitlines() == ["pair-check p=11 n=7 case=odd: 2 pairs, all cancel"]
     r = run_cli("pair-check", "7", "--format", "human")
     assert "pair (3,4)" in r.stdout
     r = run_cli("pair-check", "5", "--format", "csv")

@@ -1,5 +1,7 @@
 import concurrent.futures
+import importlib.util
 import json
+import pathlib
 import pickle
 
 import pytest
@@ -16,7 +18,6 @@ from altharm.engine import (
     WitnessRecord,
     check_range,
     classify_index,
-    record_row,
     record_to_json,
     row_to_csv,
     row_to_json,
@@ -27,6 +28,11 @@ from altharm.engine import (
 )
 
 
+def _case_id(value):
+    """Name a FormCase parameter by its member, not by its printed wire tag."""
+    return f"FormCase.{value.name}" if isinstance(value, FormCase) else None
+
+
 @pytest.mark.parametrize(
     "p,n,case",
     [
@@ -35,6 +41,7 @@ from altharm.engine import (
         (11, 7, FormCase.ODD),
         (13, 8, FormCase.EVEN),
     ],
+    ids=_case_id,
 )
 def test_witness_index_examples(p, n, case):
     assert witness_index(p) == (n, case)
@@ -93,6 +100,7 @@ def test_round_trip_over_indices():
 @pytest.mark.parametrize(
     "p,n,case",
     [(5, 3, FormCase.ODD), (11, 7, FormCase.ODD), (13, 8, FormCase.EVEN)],
+    ids=_case_id,
 )
 def test_verify_prime_examples(p, n, case):
     rec = verify_prime(p)
@@ -123,9 +131,27 @@ def test_verify_prime_proves_primality_once(monkeypatch):
 
     monkeypatch.setattr(engine, "is_prime", counting)
     monkeypatch.setattr(modfield, "is_prime", counting)
-    for p in (5, 7, 11, 13, 1009):
+    # past the exact zone (3011) and past 10^6 as well: one proof each
+    for p in (5, 7, 11, 13, 1009, 3011, 1000003):
         verify_prime(p)
-    assert calls == [5, 7, 11, 13, 1009]
+    assert calls == [5, 7, 11, 13, 1009, 3011, 1000003]
+
+
+def test_benchmark_patch_targets_exist_and_are_restored():
+    # bench/spans.py swaps package names for traced wrappers by name, so a
+    # change that drops or renames one breaks the benchmark; load it as it is
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = dict(vars(engine)), dict(vars(modfield))
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        engine.verify_prime(11)  # through the module, where the name is patched
+        verify_range(5, 200, jobs=1)
+    assert (dict(vars(engine)), dict(vars(modfield))) == before
+    names = {s[0] for s in tracer.spans}
+    assert {"engine.verify_prime", "engine.shard", "modfield.alternating_mod"} <= names
 
 
 def test_range_run_proves_no_prime_per_record(monkeypatch):
@@ -228,7 +254,7 @@ def test_record_serialization():
         record_to_json(rec)
         == '{"p":11,"n":7,"case":"odd","residue":0,"exact_checked":true,"ok":true}'
     )
-    assert row_to_csv(record_row(rec)) == "11,7,odd,0,true,true"
+    assert row_to_csv(rec) == "11,7,odd,0,true,true"
     assert row_to_csv(RECORD_FIELDS) == "p,n,case,residue,exact_checked,ok"
 
 
@@ -279,30 +305,34 @@ def test_record_survives_pickling_as_its_fields():
 @pytest.mark.parametrize(
     "fields,row",
     [
-        (RECORD_FIELDS, (98_299, 65_532, "even", 0, False, True)),
-        (RECORD_FIELDS, (11, 7, "odd", 5, True, False)),
+        (RECORD_FIELDS, (98_299, 65_532, FormCase.EVEN, 0, False, True)),
+        (RECORD_FIELDS, (11, 7, FormCase.ODD, 5, True, False)),
         (("p", "n"), (7, 100_000)),
         (("p", "k", "a", "b", "residue"), (101, 1, 34, 67, 0)),
     ],
     ids=["verify", "verify-fail", "search", "pair-check"],
 )
 def test_row_to_json_matches_json_dumps(fields, row):
-    assert row_to_json(fields, row) == json.dumps(dict(zip(fields, row)), separators=(",", ":"))
+    tagged = [v.value if isinstance(v, FormCase) else v for v in row]
+    assert row_to_json(fields, row) == json.dumps(dict(zip(fields, tagged)), separators=(",", ":"))
 
 
 def test_case_tags_need_no_json_escaping():
-    # row_to_json writes a string between quotes as it is; the case tag is the
-    # only string a row holds, so a tag that json.dumps would escape (a quote,
-    # a backslash, a control or non-ASCII character) must fail here
+    # row_to_json writes a case tag between quotes as it is; the case is the
+    # only value of a row that is not a number, so a tag that json.dumps would
+    # escape (a quote, a backslash, a control or non-ASCII character) must
+    # fail here
     assert all(case.value.isascii() and case.value.isidentifier() for case in FormCase)
+    # csv and human rows take the tag from str() and f-strings
+    for case in FormCase:
+        assert str(case) == f"{case}" == format(case, "") == case.value
     assert RECORD_FIELDS == WitnessRecord._fields
 
 
 def test_record_rows_match_json_dumps():
     for rec in _records(5, 3001):
-        row = record_row(rec)
-        want = json.dumps(dict(zip(RECORD_FIELDS, row)), separators=(",", ":"))
-        assert row_to_json(RECORD_FIELDS, row) == want
+        want = json.dumps(rec._asdict() | {"case": rec.case.value}, separators=(",", ":"))
+        assert row_to_json(RECORD_FIELDS, rec) == want
 
 
 def test_verify_range_small():

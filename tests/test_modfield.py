@@ -310,6 +310,9 @@ def test_pairing_defect_rejects_mismatches():
     ]:
         with pytest.raises(ValueError, match="not a linked pair"):
             _check_case_linkage(n, p, case)
+    # the message names the case by its tag
+    with pytest.raises(ValueError, match="case even is not a linked pair"):
+        _check_case_linkage(7, 11, FormCase.EVEN)
     _check_case_linkage(7, 11, FormCase.ODD)
     _check_case_linkage(8, 13, FormCase.EVEN)
 
