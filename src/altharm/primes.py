@@ -10,14 +10,11 @@ _SEGMENT_WIDTH = 1 << 20
 
 _U64_MAX = (1 << 64) - 1
 
+# Trial divisors, then strong-pseudoprime bases, each below x and coprime to
+# it: as bases they decide every x < 318_665_857_834_031_151_167_461 > 2^64
+# (J. Sorenson and J. Webster, Math. Comp. 86, 2017); the composite
+# 3_825_123_056_546_413_051 < 2^64 passes every base but 37.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Fixed strong-pseudoprime witness schedules, each exact below its bound:
-# (2, 3) below 1_373_653 = 829 * 1657 (Jaeschke 1993), (2, 3, 5, 7) below
-# 3_215_031_751, and the seven-base set for everything else under 2^64.
-# Deterministic by construction; no random bases.
-_WITNESSES = ((1_373_653, (2, 3)), (3_215_031_751, (2, 3, 5, 7)),
-              (_U64_MAX + 1, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)))
 
 
 def is_prime(x: int) -> bool:
@@ -32,8 +29,7 @@ def is_prime(x: int) -> bool:
     d = x - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    witnesses = next(bases for bound, bases in _WITNESSES if x < bound)
-    for a in witnesses:
+    for a in _SMALL_PRIMES:
         v = pow(a, d, x)
         if v == 1 or v == x - 1:
             continue
@@ -75,8 +71,6 @@ def sieve_range(r: PrimeRange) -> List[int]:
         raise ValueError(
             f"segment budget exceeded: width {r.width} > {_SEGMENT_WIDTH}; split the range"
         )
-    if r.hi < 2:
-        return []
     out: List[int] = []
     if r.lo <= 2 <= r.hi:
         out.append(2)
@@ -90,8 +84,6 @@ def sieve_range(r: PrimeRange) -> List[int]:
         start = max(p * p, (first + p - 1) // p * p)
         if start % 2 == 0:
             start += p
-        if start > r.hi:
-            continue
         i = (start - first) // 2
         mask[i::p] = bytes(len(range(i, count, p)))
     out.extend(compress(range(first, r.hi + 1, 2), mask))

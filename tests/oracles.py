@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here imports the package under test: sums are term-by-term stdlib
-Fraction arithmetic, primality is trial division, inverses are linear scans.
-Slow on purpose.  child_env sets up the CLI's child processes.
+Fraction arithmetic, primality is trial division, inverses are linear scans,
+and the closed forms are Fermat and Fibonacci quotients.  Slow on purpose.
+child_env sets up the CLI's child processes.
 """
 
 import importlib.util
@@ -85,6 +86,34 @@ def primes_upto_trial(limit: int) -> list:
 def tail_sum_mod(lo: int, hi: int, p: int) -> int:
     """Sum of 1/k mod p for k in lo..hi, one stdlib inverse per term."""
     return sum(pow(k, -1, p) for k in range(lo, hi + 1)) % p
+
+
+def lehmer(p: int) -> int:
+    """H_{floor(p/2)} - H_{floor(p/3)} = -2 q_p(2) + (3/2) q_p(3) mod p, with
+    q_p(a) = (a^(p-1) - 1)/p (E. Lehmer, 1938)."""
+    q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
+    return (-2 * q2 + 3 * q3 * pow(2, -1, p)) % p
+
+
+def fibonacci(k: int, m: int) -> tuple:
+    """(F_k, F_k+1) mod m by fast doubling: F_2j = F_j (2 F_j+1 - F_j),
+    F_2j+1 = F_j^2 + F_j+1^2."""
+    if k == 0:
+        return 0, 1
+    a, b = fibonacci(k // 2, m)
+    a, b = a * (2 * b - a) % m, (a * a + b * b) % m
+    return (b, (a + b) % m) if k % 2 else (a, b)
+
+
+def closed_form(p: int) -> int:
+    """x = 4 (H_{floor(3p/10)} - H_{floor(p/3)}) = -8 q_p(2) + 6 q_p(3) - 5 q_p(5)
+    + 15 F_{p-(p/5)}/p mod p, for p not dividing 30 (Z.-H. and Z.-W. Sun,
+    Acta Arith. 60, 1992; E. Lehmer, 1938), the x the range fold adds."""
+    pp = p * p
+    q2, q3, q5 = ((pow(a, p - 1, pp) - 1) // p for a in (2, 3, 5))
+    f = fibonacci(p - 1 if p % 5 in (1, 4) else p + 1, pp)[0]
+    assert f % p == 0
+    return (-8 * q2 + 6 * q3 - 5 * q5 + 15 * (f // p)) % p
 
 
 def inverse_bruteforce(a: int, p: int) -> int:

@@ -170,6 +170,8 @@ def test_verify_inverted_range():
         (["exact", "-1"], "n must be nonnegative"),
         (["search", "9", "--nmax", "10"], "9 is not prime"),
         (["search", "5", "--nmax", "0"], "nmax must be positive"),
+        # a strong pseudoprime to every prime base up to 31, near the top of 2^64
+        (["search", "3825123056546413051", "--nmax", "5"], "3825123056546413051 is not prime"),
         (["witness", "9"], "9 is not prime"),
         (["witness", "3"], "inapplicable"),
         (["pair-check", "2"], "inapplicable"),
@@ -197,9 +199,9 @@ def test_verify_inverted_range():
         # pairing_defect would hold about p/3 inverses: refused before any work
         (["pair-check", "1000000000039"], "2^32"),
     ],
-    ids=["exact-digits", "exact-n", "search-p", "search-nmax", "witness-composite",
-         "witness-3", "pair-check-2", "pair-check-3", "pair-check-composite",
-         "pair-check-1", "verify-inverted", "verify-past-2^64",
+    ids=["exact-digits", "exact-n", "search-p", "search-nmax", "search-pseudoprime",
+         "witness-composite", "witness-3", "pair-check-2", "pair-check-3",
+         "pair-check-composite", "pair-check-1", "verify-inverted", "verify-past-2^64",
          "verify-below-2^64", "verify-jobs-0", "verify-jobs-negative",
          "witness-past-2^32", "pair-check-past-2^32"],
 )

@@ -10,6 +10,7 @@ import oracles
 import altharm
 from altharm import cli, engine, modfield
 from altharm.primes import odd_primes_iter
+from altharm.rationals import alternating_exact, residue_of
 from altharm.engine import (
     RECORD_FIELDS,
     ConsistencyError,
@@ -170,7 +171,7 @@ def test_range_run_proves_no_prime_per_record(monkeypatch):
     recs = _records(5, 3001)
     assert len(recs) == 429 and all(rec.exact_checked for rec in recs)
     assert len(calls) <= 429
-    assert recs == [verify_prime(p) for p in oracles.primes_upto_trial(3001) if p >= 5]
+    assert recs == [_tail_record(p) for p in oracles.primes_upto_trial(3001) if p >= 5]
 
 
 @pytest.mark.parametrize(
@@ -386,21 +387,33 @@ def _records(pmin, pmax):
     return recs
 
 
-def test_verify_range_fold_agrees_with_verify_prime_tail():
-    # verify_range's chained prefix fold against verify_prime's tail.  Both
+def _tail_record(p):
+    # p's record from its tail span (alternating_mod), independent of the
+    # range fold; in the exact zone (n <= 2000) the exact sum must agree
+    n, case = modfield.linked_index(p)
+    pm = modfield.PrimeModulus(p)
+    residue = modfield.alternating_mod(n, pm).value
+    if n <= 2000:
+        assert residue_of(alternating_exact(n), pm).value == residue, p
+    return WitnessRecord(p=p, n=n, case=case, residue=residue, exact_checked=n <= 2000,
+                         ok=residue == 0)
+
+
+def test_verify_range_fold_agrees_with_the_tail_span():
+    # verify_range's chained prefix fold against each prime's tail span.  Both
     # build on modfield._span but assemble it differently (a chain of spans
     # from the shard's lowest n, plus a closed form, against one tail span);
     # the independent checks are the scan of the closed form below and
     # tests/oracles.py.
+    want = [_tail_record(p) for p in oracles.primes_upto_trial(20_000) if p >= 5]
+    assert _records(5, 20_000) == want
     # 5..16416 is three shards, the last holding one prime (16411)
-    assert [p for p in oracles.primes_upto_trial(16416) if p >= 16389] == [16411]
-    for pmax in (20_000, 16416):
-        recs = _records(5, pmax)
-        assert recs == [verify_prime(p) for p in oracles.primes_upto_trial(pmax) if p >= 5]
+    assert [rec.p for rec in want if 16389 <= rec.p <= 16416] == [16411]
+    assert _records(5, 16416) == [rec for rec in want if rec.p <= 16416]
     # the 150 primes from 1000003, as in the benchmark's long-tail workload
     recs = _records(1_000_003, 1_001_981)
     assert len(recs) == 150
-    assert recs == [verify_prime(rec.p) for rec in recs]
+    assert recs == [_tail_record(rec.p) for rec in recs]
 
 
 def _prefixes(cuts, moduli):
@@ -409,45 +422,18 @@ def _prefixes(cuts, moduli):
     return [n * pow(d, -1, m) % m for (d, n), m in zip(pairs, moduli)]
 
 
-def _lehmer(p):
-    # H_{floor(p/2)} - H_{floor(p/3)} = -2 q_p(2) + (3/2) q_p(3) mod p, with
-    # q_p(a) = (a^(p-1) - 1)/p (E. Lehmer, 1938)
-    q2, q3 = ((pow(a, p - 1, p * p) - 1) // p for a in (2, 3))
-    return (-2 * q2 + 3 * q3 * pow(2, -1, p)) % p
-
-
 def test_fold_matches_lehmers_difference():
     primes = [p for p in oracles.primes_upto_trial(3001) if p >= 5]
     for chunk in (primes, [681_251]):
         pairs = sorted((c, p) for p in chunk for c in (p // 3, p // 2))
         h = dict(zip(pairs, _prefixes([c for c, _ in pairs], [p for _, p in pairs])))
-        assert [(h[p // 2, p] - h[p // 3, p]) % p for p in chunk] == [_lehmer(p) for p in chunk]
+        got = [(h[p // 2, p] - h[p // 3, p]) % p for p in chunk]
+        assert got == [oracles.lehmer(p) for p in chunk]
     assert oracles.tail_sum_mod(681_251 // 3 + 1, 681_251 // 2, 681_251) == 0
     # below 2*10^6 the closed form is 0 at these primes only, so a kernel
     # returning 0 passes the check there and nowhere else (1.5 s)
-    zeros = [p for p in odd_primes_iter(5, 2_000_000) if _lehmer(p) == 0]
+    zeros = [p for p in odd_primes_iter(5, 2_000_000) if oracles.lehmer(p) == 0]
     assert zeros == [73, 83, 681_251]
-
-
-def _fibonacci(k, m):
-    # (F_k, F_k+1) mod m by fast doubling: F_2j = F_j (2 F_j+1 - F_j),
-    # F_2j+1 = F_j^2 + F_j+1^2
-    if k == 0:
-        return 0, 1
-    a, b = _fibonacci(k // 2, m)
-    a, b = a * (2 * b - a) % m, (a * a + b * b) % m
-    return (b, (a + b) % m) if k % 2 else (a, b)
-
-
-def _closed_form(p):
-    # x = 4 (H_{floor(3p/10)} - H_{floor(p/3)}) = -8 q_p(2) + 6 q_p(3) - 5 q_p(5)
-    # + 15 F_{p-(p/5)}/p mod p, for p not dividing 30 (Z.-H. and Z.-W. Sun,
-    # Acta Arith. 60, 1992; E. Lehmer, 1938), the x the range fold adds
-    pp = p * p
-    q2, q3, q5 = ((pow(a, p - 1, pp) - 1) // p for a in (2, 3, 5))
-    f = _fibonacci(p - 1 if p % 5 in (1, 4) else p + 1, pp)[0]
-    assert f % p == 0
-    return (-8 * q2 + 6 * q3 - 5 * q5 + 15 * (f // p)) % p
 
 
 def test_seven_tenths_cut_matches_the_closed_form():
@@ -457,13 +443,13 @@ def test_seven_tenths_cut_matches_the_closed_form():
     # term
     primes = [p for p in oracles.primes_upto_trial(3001) if p >= 7]
     for p in [*primes, 250_829, 1_006_331]:
-        n, x = (2 * p - 1) // 3, _closed_form(p)
+        n, x = (2 * p - 1) // 3, oracles.closed_form(p)
         assert 4 * oracles.tail_sum_mod(n + 1, 7 * p // 10, p) % p == x
         assert 4 * oracles.tail_sum_mod(3 * p // 10 + 1, p // 3, p) % p == -x % p
     # below 2*10^6 the closed form is 0 at these primes only, where n =
     # floor(7p/10), so a kernel returning 0 passes the check there and
     # nowhere else (about 3 s)
-    zeros = [p for p in odd_primes_iter(7, 2_000_000) if _closed_form(p) == 0]
+    zeros = [p for p in odd_primes_iter(7, 2_000_000) if oracles.closed_form(p) == 0]
     assert zeros == [7, 11, 17]
     assert all((2 * p - 1) // 3 == 7 * p // 10 for p in zeros)
 
@@ -480,7 +466,7 @@ def test_five_is_read_through_the_fold(monkeypatch):
 
     # the range reads each of them, alone in its shard, with neither the
     # closed form nor the tail span recheck (13 needs the closed form)
-    want = {p: verify_prime(p) for p in met}
+    want = {p: _tail_record(p) for p in met}
     monkeypatch.setattr(engine, "five_fibonacci_mod", raises)
     monkeypatch.setattr(engine, "alternating_mod", raises)
     for p in met:
@@ -633,7 +619,7 @@ def test_shards_starting_inside_the_exact_zone(monkeypatch, jobs, width):
     monkeypatch.setattr(engine, "_SHARD_WIDTH", width)
     recs = []
     verify_range(1499, 3011, jobs=jobs, record_sink=recs.append)
-    want = [verify_prime(p) for p in oracles.primes_upto_trial(3011) if p >= 1499]
+    want = [_tail_record(p) for p in oracles.primes_upto_trial(3011) if p >= 1499]
     assert recs == want
     assert [r.exact_checked for r in recs] == [r.p <= 3001 for r in recs]
 

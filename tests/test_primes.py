@@ -18,10 +18,13 @@ from altharm.primes import PrimeRange, is_prime, odd_primes_iter, sieve_range
         (2**61 - 1, True),
         (2**61 + 1, False),
         # the least strong pseudoprimes to bases (2, 3), (2, 3, 5) and
-        # (2, 3, 5, 7); the first and the last bound the two small schedules
+        # (2, 3, 5, 7), and 149491 * 747451 * 34233211, a strong pseudoprime
+        # to every prime base up to 31 that only base 37 exposes
         (1_373_653, False),
         (25_326_001, False),
         (3_215_031_751, False),
+        (3_825_123_056_546_413_051, False),
+        (2**64 - 59, True),  # the largest 64-bit prime
     ],
 )
 def test_is_prime_examples(x, want):
@@ -29,7 +32,7 @@ def test_is_prime_examples(x, want):
 
 
 def test_is_prime_agrees_with_trial_division_at_the_two_base_bound():
-    # below 1_373_653 = 829 * 1657 two bases decide, from it on four
+    # 1_373_653 = 829 * 1657 is the least strong pseudoprime to bases 2 and 3
     for x in range(1_373_653 - 2000, 1_373_653 + 2001):
         assert is_prime(x) == oracles.trial_is_prime(x), x
 
