@@ -10,10 +10,11 @@ go to stderr.
 """
 
 import argparse
+import io
 import os
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import nullcontext
-from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .engine import (
     RECORD_FIELDS,
@@ -110,14 +111,14 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_format(chosen: Optional[str], stream: TextIO) -> str:
+def _resolve_format(chosen: str | None, stream: io.TextIOBase) -> str:
     if chosen:
         return chosen
     return "human" if stream.isatty() else "jsonl"
 
 
 def _row_writer(
-    out: TextIO, chosen: Optional[str], fields: Sequence[str],
+    out: io.TextIOBase, chosen: str | None, fields: Sequence[str],
     human: Callable[..., str], header: bool = True,
 ) -> Callable[[Iterable[Sequence]], None]:
     """The one jsonl/csv/human switch: write the csv header (if header) and
@@ -152,6 +153,8 @@ def _check_last_line(path: str, size: int, fmt: str) -> None:
             "remove it or choose another file"
         )
     last = lines[-2]  # the file is not empty and ends in a newline
+    if not last:
+        raise ValueError(f"--out {path!r} ends in an empty line; remove it or choose another file")
     found = "jsonl" if last.startswith("{") else "human" if last.startswith("p=") else "csv"
     if found != fmt:
         raise ValueError(
@@ -264,7 +267,7 @@ def cmd_pair_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all_zero else EXIT_FAILED_CHECK
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -292,7 +295,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_BROKEN_PIPE
         print(f"altharm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

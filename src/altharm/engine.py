@@ -14,7 +14,8 @@ search_numerator_divisor proves that it divides the numerator of no A_n.
 
 import os
 import time
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .modfield import FormCase, PrimeModulus, alternating_mod, harmonic_prefixes_mod
 from .modfield import _P_LIMIT, _mul, five_fibonacci_mod, linked_index, linked_prime
@@ -38,7 +39,7 @@ class ConsistencyError(RuntimeError):
     """Two computations that must agree do not: an implementation bug, not math."""
 
 
-def witness_index(p: int) -> Tuple[int, FormCase]:
+def witness_index(p: int) -> tuple[int, FormCase]:
     """The constructive witness index n for an odd prime p >= 5.
 
     2p-1 = 3n gives the odd case with p = (3n+1)/2; 2p-1 = 3n+1 gives the
@@ -50,7 +51,7 @@ def witness_index(p: int) -> Tuple[int, FormCase]:
     return witness
 
 
-def classify_index(n: int) -> Optional[Tuple[int, FormCase]]:
+def classify_index(n: int) -> tuple[int, FormCase] | None:
     """linked_prime(n) if its p is a prime >= 5, else None; witness_index inverts it."""
     cand, case = linked_prime(n)
     if cand < 5 or not is_prime(cand):
@@ -58,15 +59,10 @@ def classify_index(n: int) -> Optional[Tuple[int, FormCase]]:
     return cand, case
 
 
-class WitnessRecord(NamedTuple):
+class WitnessRecord(namedtuple("WitnessRecord", "p n case residue exact_checked ok")):
     """One verified (p, n) instance: residue of A_n mod p and how it was checked."""
 
-    p: int
-    n: int
-    case: FormCase
-    residue: int
-    exact_checked: bool
-    ok: bool
+    __slots__ = ()
 
 
 RECORD_FIELDS = WitnessRecord._fields
@@ -91,7 +87,7 @@ def record_to_json(rec: WitnessRecord) -> str:
 
 
 def _witness_record(
-    p: int, n: int, case: FormCase, residue: int, exact: Optional[int]
+    p: int, n: int, case: FormCase, residue: int, exact: int | None
 ) -> WitnessRecord:
     """p's record with every check: (n, case) = linked_index(p), residue is
     A_n mod p, exact the oracle's A_n mod p or None past the threshold, and p
@@ -121,15 +117,12 @@ def verify_prime(p: int) -> WitnessRecord:
     return _witness_record(p, n, case, alternating_mod(n, pm).value, want)
 
 
-class RangeSummary(NamedTuple):
+class RangeSummary(
+    namedtuple("RangeSummary", "pmin pmax verified_count failure_count skipped elapsed")
+):
     """Aggregate outcome of verifying the odd primes in [pmin, pmax]."""
 
-    pmin: int
-    pmax: int
-    verified_count: int
-    failure_count: int
-    skipped: List[Tuple[int, str]]
-    elapsed: float
+    __slots__ = ()
 
 
 def check_range(pmin: int, pmax: int) -> None:
@@ -140,7 +133,7 @@ def check_range(pmin: int, pmax: int) -> None:
         raise ValueError(f"pmax={pmax} is not below 2^32, the limit of verify ranges")
 
 
-def _verify_shard(args: Tuple[int, int]) -> Tuple[List[WitnessRecord], float]:
+def _verify_shard(args: tuple[int, int]) -> tuple[list[WitnessRecord], float]:
     # One chained prefix fold from the first cut b, the shard's lowest n (no
     # span reaches below it), gives (D, N), N/D = H_c - H_b, at p's cuts n and
     # c = floor(7p/10) = p-1-floor(3p/10).  By reflection (H_{p-1-k} = H_k mod
@@ -191,8 +184,8 @@ def verify_range(
     pmax: int,
     *,
     jobs: int = 1,
-    record_sink: Optional[Callable[[WitnessRecord], None]] = None,
-    progress: Optional[Callable[[int, int, int, float], None]] = None,
+    record_sink: Callable[[WitnessRecord], None] | None = None,
+    progress: Callable[[int, int, int, float], None] | None = None,
 ) -> RangeSummary:
     """Verify every odd prime p >= 5 in [pmin, pmax].
 
@@ -240,7 +233,7 @@ def verify_range(
     return RangeSummary(pmin, pmax, verified, failures, skipped, time.perf_counter() - start)
 
 
-def search_numerator_divisor(p: int, nmax: int) -> List[int]:
+def search_numerator_divisor(p: int, nmax: int) -> list[int]:
     """Every n <= nmax with p dividing the reduced numerator of A_n.
 
     One integer scan modulo p^(L+1), L = floor(log_p nmax) (Boyd's p-adic
@@ -260,7 +253,7 @@ def search_numerator_divisor(p: int, nmax: int) -> List[int]:
     while top * p <= nmax:
         top *= p
     mod = top * p
-    hits: List[int] = []
+    hits: list[int] = []
     v, stop = (1, 0), p - 1  # (d, s), and the last k that can be a hit
     for k in range(1, nmax + 1):
         if k > stop:

@@ -9,8 +9,9 @@ range's lowest cut and read a block of cuts at a time mod the block's primes.
 """
 
 import enum
+from collections import namedtuple
+from collections.abc import Sequence
 from math import prod
-from typing import List, NamedTuple, Sequence, Tuple
 
 from .primes import is_prime
 
@@ -25,7 +26,7 @@ _P_LIMIT = 1 << 32
 _BLOCK = 32
 
 
-class PrimeModulus(NamedTuple("PrimeModulus", [("p", int)])):
+class PrimeModulus(namedtuple("PrimeModulus", "p")):
     """An odd prime below 2^64; constructing one is the package's odd-prime check."""
 
     __slots__ = ()
@@ -38,7 +39,7 @@ class PrimeModulus(NamedTuple("PrimeModulus", [("p", int)])):
         return super().__new__(cls, p)
 
 
-class Residue(NamedTuple("Residue", [("value", int), ("modulus", PrimeModulus)])):
+class Residue(namedtuple("Residue", "value modulus")):
     """An element of Z/pZ stored as its canonical representative in [0, p)."""
 
     __slots__ = ()
@@ -68,7 +69,7 @@ class FormCase(enum.Enum):
         return self.value
 
 
-def linked_prime(n: int) -> Tuple[int, FormCase]:
+def linked_prime(n: int) -> tuple[int, FormCase]:
     """The (p, case) the construction links to index n, p not necessarily prime:
     p = (3n+1)/2 for odd n (ODD), p = (3n+2)/2 for even n (EVEN)."""
     if n % 2:
@@ -80,7 +81,7 @@ class ProofInapplicableError(ValueError):
     """The witness construction does not cover this prime (p = 2 or 3)."""
 
 
-def linked_index(p: int) -> Tuple[int, FormCase]:
+def linked_index(p: int) -> tuple[int, FormCase]:
     """The (n, case) whose linked_prime is p; p is not proved prime here.
     No n reaches p in {2, 3}: those raise ProofInapplicableError."""
     if p in (2, 3):
@@ -111,7 +112,7 @@ def alternating_mod(n: int, p: PrimeModulus) -> Residue:
     return Residue(t * pow(d, -1, p.p) % p.p, p)
 
 
-def _span(lo: int, hi: int, m: int) -> Tuple[int, int]:
+def _span(lo: int, hi: int, m: int) -> tuple[int, int]:
     """The product of (k + e) for k in lo..hi in Z[e]/(e^2), as (D, N) = mod m
     (lo*...*hi, D * (1/lo + ... + 1/hi)), (1, 0) when lo > hi.  Partial
     products are reduced as they are built, so no long span is ever whole."""
@@ -124,7 +125,7 @@ def _span(lo: int, hi: int, m: int) -> Tuple[int, int]:
     return _mul(_span(lo, mid, m), _span(mid + 1, hi, m), m)
 
 
-def _mul(x: Tuple[int, int], y: Tuple[int, int], m: int) -> Tuple[int, int]:
+def _mul(x: tuple[int, int], y: tuple[int, int], m: int) -> tuple[int, int]:
     """(D1, N1)(D2, N2) = (D1 D2, D1 N2 + N1 D2) mod m."""
     (d1, n1), (d2, n2) = x, y
     return d1 * d2 % m, (d1 * n2 + n1 * d2) % m
@@ -142,7 +143,7 @@ def five_fibonacci_mod(k: int, m: int) -> int:
     return (2 * w - v) % m
 
 
-def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[Tuple[int, int]]:
+def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> list[tuple[int, int]]:
     """(D, N) = (c!/b!, c!/b! (H_c - H_b)) mod m for each cut c and its modulus
     m, b the first cut and H_c = 1 + 1/2 + ... + 1/c; a first cut 0 gives N/D = H_c.
 
@@ -169,12 +170,12 @@ def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> List[Tu
     return out
 
 
-def _inverse_range(lo: int, hi: int, p: int) -> List[int]:
+def _inverse_range(lo: int, hi: int, p: int) -> list[int]:
     """Inverses of lo..hi mod p; requires 0 < lo and hi < p."""
     return [pow(k, -1, p) for k in range(lo, hi + 1)]
 
 
-def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> List[Residue]:
+def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> list[Residue]:
     """Per-pair residues inv(lo+k-1) + inv(hi-k+1) mod p over the tail of A_n.
 
     With lo = floor(n/2)+1 and hi = n, the case linkage makes each pair of

@@ -1,8 +1,9 @@
 """Deterministic 64-bit primality testing and segmented prime sieving."""
 
 import math
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import compress
-from typing import Iterator, List, NamedTuple
 
 # Candidates per sieve segment: keeps the working mask cache-resident and
 # bounds the mask of any one sieve_range call.
@@ -42,7 +43,7 @@ def is_prime(x: int) -> bool:
     return True
 
 
-class PrimeRange(NamedTuple("PrimeRange", [("lo", int), ("hi", int)])):
+class PrimeRange(namedtuple("PrimeRange", "lo hi")):
     """Inclusive integer interval [lo, hi] to be sieved."""
 
     __slots__ = ()
@@ -59,7 +60,7 @@ class PrimeRange(NamedTuple("PrimeRange", [("lo", int), ("hi", int)])):
         return self.hi - self.lo + 1
 
 
-def sieve_range(r: PrimeRange) -> List[int]:
+def sieve_range(r: PrimeRange) -> list[int]:
     """Exactly the primes in [r.lo, r.hi], ascending.
 
     The width of the range may not exceed one segment (2^20 candidates);
@@ -71,7 +72,7 @@ def sieve_range(r: PrimeRange) -> List[int]:
         raise ValueError(
             f"segment budget exceeded: width {r.width} > {_SEGMENT_WIDTH}; split the range"
         )
-    out: List[int] = []
+    out: list[int] = []
     if r.lo <= 2 <= r.hi:
         out.append(2)
     first = max(r.lo, 3) | 1  # first odd candidate

@@ -16,8 +16,8 @@ oracles check all this against left-to-right signed Fraction accumulation.
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
+from collections.abc import Iterable, Iterator
 from math import gcd
-from typing import Iterable, Iterator, Tuple
 
 from .modfield import PrimeModulus, Residue
 
@@ -26,7 +26,7 @@ class NotPAdicIntegerError(ValueError):
     """Raised when mapping a/b into Z/pZ with p dividing b."""
 
 
-def _merge(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:
+def _merge(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     # Add two reduced fractions by one formula: any common factor of the raw
     # numerator and the lcm denominator divides g = gcd(d1, d2), so one small
     # gcd finishes the reduction, a no-op when g = 1 (Knuth, TAOCP 4.5.1).
@@ -37,7 +37,7 @@ def _merge(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:
     return t // g2, d1g * (d2 // g2)
 
 
-def _harmonic_pair(lo: int, hi: int) -> Tuple[int, int]:
+def _harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
     """Sum of 1/k for k in lo..hi as a reduced (num, den) pair; 0/1 if lo > hi."""
     if lo > hi:
         return 0, 1

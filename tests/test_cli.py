@@ -308,6 +308,25 @@ def test_verify_out_refuses_a_partial_final_line(tmp_path):
         assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
+def test_verify_out_refuses_a_final_empty_line(tmp_path, fmt):
+    # no format writes an empty line: appending after one would put a blank
+    # line inside a csv stream, or before a file's first row with no header
+    out = tmp_path / "records"
+    args = ("verify", "--pmin", "5", "--pmax", "13", "--quiet", "--format", fmt, "--out", str(out))
+    assert run_cli(*args).returncode == 0
+    for before in (b"\n", out.read_bytes() + b"\n"):
+        out.write_bytes(before)
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"altharm: error: --out {str(out)!r} ends in an empty line; "
+            "remove it or choose another file"
+        ]
+        assert out.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "first,second",
     [("csv", None), ("csv", "human"), ("jsonl", "csv"), ("jsonl", "human"),
@@ -511,17 +530,17 @@ def test_exact_loads_no_process_pool():
     assert "altharm.engine" in r.stderr and "concurrent.futures.process" not in r.stderr
 
 
-def test_import_loads_no_dataclasses_inspect_or_json():
+def test_import_loads_no_typing_dataclasses_inspect_or_json():
     # dataclasses and the inspect it imports were most of the package's own
-    # start-up cost (the value types are named tuples), and json quoted only
-    # the case tag; a module already loaded before the import (by site, say)
-    # is not the package's doing
+    # start-up cost (the value types are named tuples), json quoted only the
+    # case tag, and typing only declared; -S keeps site, which may preload
+    # any of them (a .pth importing certifi loads typing), out of the count
     code = (
         "import sys; before = set(sys.modules); import altharm.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+        "print(sorted({'typing', 'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
     )
     r = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=oracles.child_env(), timeout=300,
     )
     assert r.returncode == 0 and r.stdout == "[]\n", (r.stdout, r.stderr)

@@ -611,6 +611,15 @@ def test_range_exact_check_catches_a_wrong_sweep(monkeypatch):
         verify_range(5, 3001)
 
 
+def test_witness_record_refuses_an_index_off_its_class_mod_4():
+    # the linkage forces n = 3 mod 4 in the odd case and 0 mod 4 in the even
+    # case, so no correct caller reaches this check: it is called directly
+    with pytest.raises(ConsistencyError, match="^odd witness n=8 for p=11 is not 3 mod 4$"):
+        engine._witness_record(11, 8, FormCase.ODD, 0, None)
+    with pytest.raises(ConsistencyError, match="^even witness n=7 for p=11 is not 0 mod 4$"):
+        engine._witness_record(11, 7, FormCase.EVEN, 0, 0)
+
+
 @pytest.mark.parametrize("width", [8192, 500])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_shards_starting_inside_the_exact_zone(monkeypatch, jobs, width):
