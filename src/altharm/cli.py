@@ -122,16 +122,14 @@ def _row_writer(
     human: Callable[..., str], header: bool = True,
 ) -> Callable[[Iterable[Sequence]], None]:
     """The one jsonl/csv/human switch: write the csv header (if header) and
-    return a function writing rows to out, one line each; human(*row) is a
-    row's text."""
+    return a function writing rows to out, one line each, in one write;
+    human(*row) is a row's text."""
     fmt = _resolve_format(chosen, out)
-    if fmt == "jsonl":
-        return lambda rows: out.writelines(row_to_json(fields, r) + "\n" for r in rows)
-    if fmt == "csv":
-        if header:
-            out.write(row_to_csv(fields) + "\n")
-        return lambda rows: out.writelines(row_to_csv(r) + "\n" for r in rows)
-    return lambda rows: out.writelines(human(*r) + "\n" for r in rows)
+    if fmt == "csv" and header:
+        out.write(row_to_csv(fields) + "\n")
+    text = {"jsonl": lambda r: row_to_json(fields, r), "csv": row_to_csv,
+            "human": lambda r: human(*r)}[fmt]
+    return lambda rows: out.write("".join([text(r) + "\n" for r in rows]))
 
 
 def _record_human(p, n, case, residue, exact_checked, ok) -> str:
@@ -201,12 +199,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ValueError(f"cannot open --out {args.out!r}: {exc}")
 
+    shard = []  # a shard's records, one write once progress reports the shard
+
     def progress(lo: int, hi: int, count: int, seconds: float) -> None:
+        write(shard)
+        shard.clear()
         rate = count / seconds if seconds > 0 else float("inf")
-        print(
-            f"shard [{lo},{hi}]: {count} primes in {seconds:.2f}s ({rate:.0f} primes/s)",
-            file=sys.stderr,
-        )
+        if not args.quiet:
+            print(
+                f"shard [{lo},{hi}]: {count} primes in {seconds:.2f}s ({rate:.0f} primes/s)",
+                file=sys.stderr,
+            )
 
     with target as out:
         # a csv header only at a stream's start (a pipe is one), so reruns concatenate
@@ -219,8 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             args.pmin,
             args.pmax,
             jobs=args.jobs,
-            record_sink=lambda rec: write([rec]),
-            progress=None if args.quiet else progress,
+            record_sink=shard.append,
+            progress=progress,
         )
 
     skipped = (
@@ -281,9 +284,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"altharm: error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
-        # engine's ConsistencyError, or concurrent.futures' BrokenProcessPool
-        # when a pool worker died (unnamed here: only a pool may import it);
-        # records already written stay; exit 1 would read as a counterexample
+        # engine's ConsistencyError, or a verify worker that died; the records
+        # already written stay; exit 1 would read as a counterexample
         print(f"altharm: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as exc:

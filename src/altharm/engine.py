@@ -179,6 +179,45 @@ def _verify_shard(args: tuple[int, int]) -> tuple[list[WitnessRecord], float]:
     return recs, time.perf_counter() - t0
 
 
+def _forked(shard_args: list[tuple[int, int]], workers: int):
+    """_verify_shard of each shard in order: worker w pickles shard_args[w::workers]
+    into its own pipe.  Closing the generator kills and reaps every worker."""
+    import pickle
+    import signal
+
+    procs = []
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            if (pid := os.fork()) == 0:  # a worker: every path out ends in os._exit
+                try:
+                    os.close(r)
+                    with open(wr, "wb") as out:
+                        try:
+                            for args in shard_args[w::workers]:
+                                pickle.dump(_verify_shard(args), out)
+                                out.flush()
+                        except Exception as exc:
+                            pickle.dump(exc, out)
+                finally:
+                    os._exit(0)
+            procs.append((pid, open(r, "rb")))
+            os.close(wr)
+        for i, (lo, hi) in enumerate(shard_args):
+            try:
+                got = pickle.load(procs[i % workers][1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"the worker of shard {lo}..{hi} died") from None
+            if isinstance(got, Exception):
+                raise got
+            yield got
+    finally:
+        for pid, pipe in procs:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
 def verify_range(
     pmin: int,
     pmax: int,
@@ -190,11 +229,11 @@ def verify_range(
     """Verify every odd prime p >= 5 in [pmin, pmax].
 
     Records stream to record_sink in ascending p, independent of jobs: the
-    range is cut into fixed shards, worked by up to jobs processes (at most
-    one per CPU), and merged back in order.  p = 3 inside the range is
-    recorded as skipped.  A failing record (ok=False) is counted, not
-    raised, once the tail span gives the same residue.  progress, if given,
-    is called per completed shard with (lo, hi, record_count, seconds).
+    range is cut into fixed shards, dealt in turn to up to jobs forked workers
+    (one per CPU at most, none without os.fork) and read back in order.  p = 3
+    inside the range is recorded as skipped.  A failing record (ok=False) is
+    counted, not raised, once the tail span gives the same residue.  progress,
+    if given, follows each shard's records with (lo, hi, record_count, seconds).
     """
     check_range(pmin, pmax)
     start = time.perf_counter()
@@ -206,14 +245,11 @@ def verify_range(
         for lo in range(max(pmin, 5), pmax + 1, _SHARD_WIDTH)
     ]
 
-    # _verify_shard is looked up by name here on every path; bench/spans.py
-    # wraps it at jobs=1
-    workers = min(jobs, len(shard_args), os.cpu_count() or 1)
-    if workers > 1:  # a start-up cost that only a pool should pay
-        from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    workers = min(jobs, len(shard_args), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    # _verify_shard is looked up by name on both paths; bench/spans.py wraps it
+    # at jobs=1, since a forked worker's spans stay in the worker
+    shards = _forked(shard_args, workers) if workers > 1 else map(_verify_shard, shard_args)
     try:
-        shards = (pool.map if pool else map)(_verify_shard, shard_args)
         for (lo, hi), (recs, seconds) in zip(shard_args, shards):
             for rec in recs:
                 if rec.ok:
@@ -225,10 +261,9 @@ def verify_range(
             if progress is not None:
                 progress(lo, hi, len(recs), seconds)
     finally:
-        # after an error (sink, worker, closed pipe) the queued shards are
-        # dropped; only the ones already running are waited for
-        if pool:
-            pool.shutdown(cancel_futures=True)
+        # after an error (sink, progress, worker) every worker stops at once
+        if workers > 1:
+            shards.close()
 
     return RangeSummary(pmin, pmax, verified, failures, skipped, time.perf_counter() - start)
 

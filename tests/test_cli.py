@@ -1,5 +1,5 @@
+import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -470,14 +470,9 @@ def test_consistency_error_exits_three(monkeypatch, capsys):
     assert err == "altharm: internal error: range fold and tail span disagree at p=10007\n"
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched function reaches workers only through fork",
-)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks its workers")
 def test_dead_pool_worker_exits_three(monkeypatch, capsys, tmp_path):
-    # every shard after the first kills its worker; the pool pickles
-    # _verify_shard by name, so the fault goes into a function it calls,
-    # and forked workers inherit the patch
+    # every shard after the first kills its worker, which inherits the patch
     real = engine.odd_primes_iter
     monkeypatch.setattr(
         engine, "odd_primes_iter", lambda lo, hi: real(lo, hi) if lo == 5 else os._exit(1)
@@ -488,10 +483,10 @@ def test_dead_pool_worker_exits_three(monkeypatch, capsys, tmp_path):
     assert cli.main(argv) == cli.EXIT_INTERNAL == 3
     err = capsys.readouterr().err
     assert err.startswith("altharm: internal error: ") and err.count("\n") == 1
-    # the first shard's records may or may not have been written, and whole
+    # the first shard, which the other worker computed, is read and written
+    # whole before the dead worker's shard is missed
     first = [p for p in oracles.primes_upto_trial(8196) if p >= 5]
-    got = [json.loads(line)["p"] for line in out.read_text().splitlines()]
-    assert got == first[: len(got)]
+    assert [json.loads(line)["p"] for line in out.read_text().splitlines()] == first
 
 
 _NO_NUMPY = "import sys; sys.modules['numpy'] = None; from altharm import cli; sys.exit(cli.main(sys.argv[1:]))"
@@ -521,13 +516,53 @@ def test_no_command_loads_numpy(args):
 
 
 def test_exact_loads_no_process_pool():
-    # concurrent.futures.process is a start-up cost only a verify pool needs
+    # no command loads a process pool: verify forks its workers itself
     r = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "altharm", "exact", "1"],
         capture_output=True, text=True, env=oracles.child_env(), timeout=300,
     )
     assert r.returncode == 0 and r.stdout == "1/1\n"
-    assert "altharm.engine" in r.stderr and "concurrent.futures.process" not in r.stderr
+    assert "altharm.engine" in r.stderr and "concurrent.futures" not in r.stderr
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "altharm",
+         "verify", "--pmin", "5", "--pmax", "20000", "--jobs", "2"],
+        capture_output=True, text=True, env=oracles.child_env(), timeout=300,
+    )
+    assert r.returncode == 0 and r.stdout.count("\n") == 2260
+    assert "concurrent.futures" not in r.stderr and "multiprocessing" not in r.stderr
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
+def test_unbuffered_stdout_gives_the_same_bytes(fmt):
+    # PYTHONUNBUFFERED=1 makes each write to stdout a syscall of its own
+    argv = [sys.executable, "-m", "altharm", "verify", "--pmin", "3", "--pmax", "20000",
+            "--jobs", "2", "--format", fmt]
+    env = oracles.child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    runs = [
+        subprocess.run(argv, capture_output=True, env=e, timeout=300)
+        for e in (env, {**env, "PYTHONUNBUFFERED": "1"})
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout and runs[0].stdout.count(b"\n") >= 2260
+
+
+def test_verify_writes_each_shard_in_one_call(monkeypatch):
+    writes = []
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    argv = ["verify", "--pmin", "5", "--pmax", "20000", "--jobs", "1", "--format", "jsonl", "--quiet"]
+    assert cli.main(argv) == 0
+    shards = [(5, 8196), (8197, 16388), (16389, 20000)]
+    primes = oracles.primes_upto_trial(20000)
+    assert [w.count("\n") for w in writes] == [
+        sum(lo <= p <= hi for p in primes) for lo, hi in shards
+    ]
 
 
 def test_import_loads_no_typing_dataclasses_inspect_or_json():

@@ -1,8 +1,9 @@
-import concurrent.futures
 import importlib.util
 import json
+import os
 import pathlib
 import pickle
+import time
 
 import pytest
 
@@ -296,7 +297,7 @@ def test_value_types_compare_by_fields_and_refuse_writes(name):
 
 
 def test_record_survives_pickling_as_its_fields():
-    # records cross the verify pool pickled
+    # records cross a forked verify worker's pipe pickled
     rec = verify_prime(3011)
     back = pickle.loads(pickle.dumps(rec))
     assert back == rec and type(back) is WitnessRecord
@@ -641,56 +642,97 @@ def test_verify_range_progress_callback():
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The pools verify_range makes, each a stand-in for ProcessPoolExecutor
-    that maps lazily in this process and logs each shutdown's cancel_futures."""
-    made = []
+def forks(monkeypatch):
+    """The pids of the workers verify_range forks, in order."""
+    pids = []
+    real = os.fork
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.cancel_futures = []
-            made.append(self)
+    def fork():
+        pid = real()
+        if pid:  # in the parent; a worker never returns from its shards
+            pids.append(pid)
+        return pid
 
-        def map(self, fn, items):
-            return map(fn, items)
+    monkeypatch.setattr(engine.os, "fork", fork)
+    return pids
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            self.cancel_futures.append(cancel_futures)
 
-    # verify_range imports the class from here when it builds a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return made
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
     "cpus,jobs,want",
-    [(3, 10_000, [3]), (3, 2, [2]), (None, 10_000, []), (64, 10_000, [25])],
+    [(3, 10_000, 3), (3, 2, 2), (None, 10_000, 0), (64, 10_000, 25)],
     ids=["above-cpus", "below-cpus", "cpus-unknown", "above-shards"],
 )
-def test_verify_range_caps_workers_at_cpu_count(monkeypatch, pools, cpus, jobs, want):
+def test_verify_range_caps_workers_at_cpu_count(monkeypatch, forks, cpus, jobs, want):
     monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)  # 25 shards over [5, 400]
     base = []
     verify_range(5, 400, record_sink=base.append)
-    assert pools == [] and len(base) == 76
+    assert forks == [] and len(base) == 76
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     recs = []
     verify_range(5, 400, jobs=jobs, record_sink=recs.append)
-    assert [pool.max_workers for pool in pools] == want
+    assert len(forks) == want
     assert recs == base
+    _assert_reaped(forks)
 
 
-def test_verify_range_cancels_queued_shards_on_error(monkeypatch, pools):
-    # a sink that fails (say, on a closed pipe) must not wait for every shard
+@pytest.mark.parametrize("failing", ["record_sink", "progress"])
+def test_verify_range_stops_every_worker_on_error(monkeypatch, forks, failing):
+    # a sink or progress callback that fails (say, on a closed pipe) reads no
+    # further shard, and no worker outlives the call
     monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    loads = []
+    real_load = pickle.load  # verify_range imports pickle when it forks
+    monkeypatch.setattr(pickle, "load", lambda f: loads.append(f) or real_load(f))
+
+    def fail(*args):
+        raise BrokenPipeError
+
+    # raised keeps the traceback, and verify_range's frame with it, alive, so
+    # the workers must be gone before the caller drops the exception
+    with pytest.raises(BrokenPipeError) as raised:
+        verify_range(5, 400, jobs=2, **{failing: fail})
+    assert len(forks) == 2 and len(loads) == 1
+    _assert_reaped(forks)
+
+
+def test_verify_range_stops_a_huge_range_at_once(monkeypatch, forks):
+    # about 524000 shards, none of them queued ahead of the workers, so the
+    # first failing record ends the run at once
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
 
     def sink(rec):
         raise BrokenPipeError
 
-    with pytest.raises(BrokenPipeError):
-        verify_range(5, 400, jobs=2, record_sink=sink)
-    assert [(pool.max_workers, pool.cancel_futures) for pool in pools] == [(2, [True])]
+    t0 = time.perf_counter()
+    with pytest.raises(BrokenPipeError) as raised:  # keeps verify_range's frame
+        verify_range(5, 2**32 - 1, jobs=2, record_sink=sink)
+    assert time.perf_counter() - t0 < 10 and len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_verify_range_raises_a_worker_error(monkeypatch, forks):
+    # a kernel fault in the second shard: its worker pickles the
+    # ConsistencyError back, raised once the first shard's records are out
+    real = modfield.harmonic_prefixes_mod
+
+    def faulty(cuts, moduli):
+        hs = real(cuts, moduli)
+        return [(d, (h + d * ((c, m) == (6671, 10007))) % m) for c, m, (d, h) in zip(cuts, moduli, hs)]
+
+    monkeypatch.setattr(engine, "harmonic_prefixes_mod", faulty)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    recs = []
+    with pytest.raises(ConsistencyError, match="^range fold and tail span disagree at p=10007$"):
+        verify_range(5, 20_000, jobs=2, record_sink=recs.append)
+    assert [rec.p for rec in recs] == [p for p in oracles.primes_upto_trial(8196) if p >= 5]
+    assert len(forks) == 2
 
 
 def test_verify_range_rejects_inverted_bounds():
