@@ -4,7 +4,8 @@ verification, numerator-divisor search, and the pairing demonstration.
 Exit codes: 0 all checks passed; 1 a verification produced ok=false;
 2 usage or validation error, out of memory, or a failed write to stdout or
 --out; 3 an internal consistency check failed or a worker process died
-(a bug, not a counterexample); 141 stdout was closed early.
+(a bug, not a counterexample); 130 interrupted (Ctrl-C); 141 stdout was
+closed early.
 With jsonl/csv formats stdout carries only records; progress and summaries
 go to stderr.
 """
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 
 
@@ -288,6 +290,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # already written stay; exit 1 would read as a counterexample
         print(f"altharm: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        # verify's workers are already killed and reaped, and --out is closed
+        print("altharm: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except OSError as exc:
         # the reader is gone (a broken pipe) or a write failed (a full disk);
         # send what is still buffered to devnull so the interpreter's own

@@ -5,8 +5,8 @@ reduced-form invariants this package relies on: gcd(|num|, den) = 1,
 den >= 1, sign on the numerator, zero as 0/1.  The summation routines here
 are the slow, trusted oracle for everything the modular fast paths claim.
 
-Every sum is formed by divide and conquer (binary splitting) of 1/k over a
-block of k, which keeps intermediate operands near their reduced size.
+A block of 1/k under 64 terms is summed in one loop with one gcd; a longer
+one is split in half (binary splitting) to keep operands near reduced size.
 A_n is the tail H_n - H_{n//2}, the sum over (n//2, n]: alternating_sweep
 chains it over ascending n, each step adding the terms that enter the tail
 and taking away those that leave it.  A verify shard's exact values come
@@ -39,17 +39,14 @@ def _merge(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
 
 def _harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
     """Sum of 1/k for k in lo..hi as a reduced (num, den) pair; 0/1 if lo > hi."""
-    if lo > hi:
-        return 0, 1
-    if lo == hi:
-        return 1, lo
-    if hi - lo == 1:
-        # consecutive denominators are coprime, and so is their sum with each
-        return lo + hi, lo * hi
+    if hi - lo < 63:  # fewer than 64 terms: one loop, one gcd
+        n, d = 0, 1
+        for k in range(lo, hi + 1):
+            n, d = n * k + d, d * k
+        g = gcd(n, d)
+        return n // g, d // g
     mid = (lo + hi) // 2
-    n1, d1 = _harmonic_pair(lo, mid)
-    n2, d2 = _harmonic_pair(mid + 1, hi)
-    return _merge(n1, d1, n2, d2)
+    return _merge(*_harmonic_pair(lo, mid), *_harmonic_pair(mid + 1, hi))
 
 
 def _reduced(num: int, den: int) -> Fraction:

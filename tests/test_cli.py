@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -487,6 +489,34 @@ def test_dead_pool_worker_exits_three(monkeypatch, capsys, tmp_path):
     # whole before the dead worker's shard is missed
     first = [p for p in oracles.primes_upto_trial(8196) if p >= 5]
     assert [json.loads(line)["p"] for line in out.read_text().splitlines()] == first
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks its workers")
+def test_ctrl_c_exits_130_and_leaves_no_process(tmp_path):
+    # SIGINT to the process group, as a terminal's Ctrl-C sends it, once the
+    # first shard's records are in --out
+    out = tmp_path / "records.jsonl"
+    argv = ["verify", "--pmin", "5", "--pmax", "3000000", "--jobs", "2", "--quiet", "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "altharm", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=oracles.child_env(), start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.exists() and out.stat().st_size):
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130, err
+    assert err.splitlines() == ["altharm: interrupted"]
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the workers are gone with the parent
+    assert out.read_bytes().endswith(b"\n")
 
 
 _NO_NUMPY = "import sys; sys.modules['numpy'] = None; from altharm import cli; sys.exit(cli.main(sys.argv[1:]))"

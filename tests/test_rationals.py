@@ -123,16 +123,17 @@ def test_sweep_matches_one_sum_per_index_and_the_stream_oracle(ns):
 
 # A step from m to n adds the terms entering the tail, (max(m, n//2), n],
 # and takes away those leaving it, (m//2, min(m, n//2)].  Both blocks take
-# every branch of _harmonic_pair: one term, two terms, and splits of
-# 2^k - 1, 2^k and 2^k + 1 terms (_SIZES).
-_SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+# both branches of _harmonic_pair, the one loop under 64 terms and the split
+# in half from 64 up: _SIZES holds 2^k - 1, 2^k and 2^k + 1 terms up to
+# twice that threshold.
+_SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]
 _STEPS = {
     # n >= 2m, disjoint tails: at (s, 2s) s terms enter, at (2s, 4s) s leave
     "disjoint": [(s, 2 * s) for s in _SIZES] + [(2 * s, 4 * s) for s in _SIZES],
     # m < n < 2m, overlapping tails: s terms enter from an even and an odd m,
-    # and at (100, 100 + 2s) s leave
-    "overlap": [(m, m + s) for m in (100, 101) for s in _SIZES]
-    + [(100, 100 + 2 * s) for s in _SIZES],
+    # and at (300, 300 + 2s) s leave
+    "overlap": [(m, m + s) for m in (300, 301) for s in _SIZES]
+    + [(300, 300 + 2 * s) for s in _SIZES],
     # m even and n = m + 1, so n//2 == m//2: one term enters, none leaves
     "nothing-leaves": [(m, m + 1) for m in (0, 2, 16, 64)],
     "repeated": [(m, m) for m in (0, 1, 2, 33)],
@@ -147,7 +148,7 @@ _KINDS = {
 
 @pytest.mark.parametrize("kind", _STEPS)
 def test_sweep_steps_match_the_stream_oracle(kind):
-    stream = [Fraction(0), *oracles.alternating_stream(200)]
+    stream = [Fraction(0), *oracles.alternating_stream(600)]  # n <= 558
     for m, n in _STEPS[kind]:
         assert _KINDS[kind](m, n)
         assert list(alternating_sweep([m, n])) == [stream[m], stream[n]]
