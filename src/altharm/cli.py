@@ -19,6 +19,7 @@ from contextlib import nullcontext
 
 from .engine import (
     RECORD_FIELDS,
+    _usable_cpus,
     check_range,
     row_to_csv,
     row_to_json,
@@ -75,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--pmin", type=int, required=True)
     p_verify.add_argument("--pmax", type=int, required=True)
     p_verify.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="worker processes (default: CPU count)",
+        "--jobs", type=int, default=_usable_cpus(),
+        help="worker processes (default: the CPUs this process may run on)",
     )
     _add_format_flag(p_verify)
     p_verify.add_argument(

@@ -179,6 +179,13 @@ def _verify_shard(args: tuple[int, int]) -> tuple[list[WitnessRecord], float]:
     return recs, time.perf_counter() - t0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where os reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _forked(shard_args: list[tuple[int, int]], workers: int):
     """_verify_shard of each shard in order: worker w pickles shard_args[w::workers]
     into its own pipe.  Closing the generator kills and reaps every worker."""
@@ -230,7 +237,7 @@ def verify_range(
 
     Records stream to record_sink in ascending p, independent of jobs: the
     range is cut into fixed shards, dealt in turn to up to jobs forked workers
-    (one per CPU at most, none without os.fork) and read back in order.  p = 3
+    (at most one per usable CPU, none without os.fork) and read back in order.  p = 3
     inside the range is recorded as skipped.  A failing record (ok=False) is
     counted, not raised, once the tail span gives the same residue.  progress,
     if given, follows each shard's records with (lo, hi, record_count, seconds).
@@ -245,10 +252,10 @@ def verify_range(
         for lo in range(max(pmin, 5), pmax + 1, _SHARD_WIDTH)
     ]
 
-    workers = min(jobs, len(shard_args), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    workers = min(jobs, len(shard_args), _usable_cpus()) if hasattr(os, "fork") else 1
     # _verify_shard is looked up by name on both paths; bench/spans.py wraps it
     # at jobs=1, since a forked worker's spans stay in the worker
-    shards = _forked(shard_args, workers) if workers > 1 else map(_verify_shard, shard_args)
+    shards = _forked(shard_args, workers) if workers > 1 else (_verify_shard(a) for a in shard_args)
     try:
         for (lo, hi), (recs, seconds) in zip(shard_args, shards):
             for rec in recs:
@@ -262,8 +269,7 @@ def verify_range(
                 progress(lo, hi, len(recs), seconds)
     finally:
         # after an error (sink, progress, worker) every worker stops at once
-        if workers > 1:
-            shards.close()
+        shards.close()
 
     return RangeSummary(pmin, pmax, verified, failures, skipped, time.perf_counter() - start)
 

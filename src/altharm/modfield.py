@@ -51,9 +51,6 @@ class Residue(namedtuple("Residue", "value modulus")):
             )
         return super().__new__(cls, value, modulus)
 
-    def __int__(self) -> int:
-        return self.value
-
 
 class FormCase(enum.Enum):
     """Which witness construction applies; a member prints as its wire tag.

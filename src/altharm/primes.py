@@ -76,8 +76,6 @@ def sieve_range(r: PrimeRange) -> list[int]:
     if r.lo <= 2 <= r.hi:
         out.append(2)
     first = max(r.lo, 3) | 1  # first odd candidate
-    if first > r.hi:
-        return out
     count = (r.hi - first) // 2 + 1
     mask = bytearray(b"\x01") * count
     # recursion ends: isqrt(hi) < hi for hi >= 2, and nothing is sieved below 3

@@ -479,7 +479,7 @@ def test_dead_pool_worker_exits_three(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(
         engine, "odd_primes_iter", lambda lo, hi: real(lo, hi) if lo == 5 else os._exit(1)
     )
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     out = tmp_path / "records.jsonl"
     argv = ["verify", "--pmin", "5", "--pmax", "20000", "--jobs", "2", "--quiet", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_INTERNAL == 3

@@ -669,10 +669,12 @@ def _assert_reaped(pids):
     ids=["above-cpus", "below-cpus", "cpus-unknown", "above-shards"],
 )
 def test_verify_range_caps_workers_at_cpu_count(monkeypatch, forks, cpus, jobs, want):
+    # where os reports no affinity mask, the cap is the machine's CPU count
     monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)  # 25 shards over [5, 400]
     base = []
     verify_range(5, 400, record_sink=base.append)
     assert forks == [] and len(base) == 76
+    monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     recs = []
     verify_range(5, 400, jobs=jobs, record_sink=recs.append)
@@ -681,12 +683,25 @@ def test_verify_range_caps_workers_at_cpu_count(monkeypatch, forks, cpus, jobs, 
     _assert_reaped(forks)
 
 
+def test_verify_range_caps_workers_at_the_affinity_mask(monkeypatch, forks):
+    # one CPU in the process's mask of a 64-CPU machine (taskset, a cpuset):
+    # no worker is forked whatever jobs asks for
+    monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)
+    base = []
+    verify_range(5, 400, record_sink=base.append)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    recs = []
+    verify_range(5, 400, jobs=8, record_sink=recs.append)
+    assert forks == [] and recs == base
+
+
 @pytest.mark.parametrize("failing", ["record_sink", "progress"])
 def test_verify_range_stops_every_worker_on_error(monkeypatch, forks, failing):
     # a sink or progress callback that fails (say, on a closed pipe) reads no
     # further shard, and no worker outlives the call
     monkeypatch.setattr(engine, "_SHARD_WIDTH", 16)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     loads = []
     real_load = pickle.load  # verify_range imports pickle when it forks
     monkeypatch.setattr(pickle, "load", lambda f: loads.append(f) or real_load(f))
@@ -705,7 +720,7 @@ def test_verify_range_stops_every_worker_on_error(monkeypatch, forks, failing):
 def test_verify_range_stops_a_huge_range_at_once(monkeypatch, forks):
     # about 524000 shards, none of them queued ahead of the workers, so the
     # first failing record ends the run at once
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
 
     def sink(rec):
         raise BrokenPipeError
@@ -727,7 +742,7 @@ def test_verify_range_raises_a_worker_error(monkeypatch, forks):
         return [(d, (h + d * ((c, m) == (6671, 10007))) % m) for c, m, (d, h) in zip(cuts, moduli, hs)]
 
     monkeypatch.setattr(engine, "harmonic_prefixes_mod", faulty)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     recs = []
     with pytest.raises(ConsistencyError, match="^range fold and tail span disagree at p=10007$"):
         verify_range(5, 20_000, jobs=2, record_sink=recs.append)

@@ -73,6 +73,10 @@ def test_prime_range_validation():
         (24, 28, []),
         (0, 10, [2, 3, 5, 7]),
         (1, 1, []),
+        # no odd candidate: an empty mask, which the base prime 3 leaves empty at (10, 10)
+        (0, 0, []),
+        (4, 4, []),
+        (10, 10, []),
     ],
 )
 def test_sieve_range_examples(lo, hi, want):
