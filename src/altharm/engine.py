@@ -89,13 +89,9 @@ def record_to_json(rec: WitnessRecord) -> str:
 def _witness_record(
     p: int, n: int, case: FormCase, residue: int, exact: int | None
 ) -> WitnessRecord:
-    """p's record with every check: (n, case) = linked_index(p), residue is
-    A_n mod p, exact the oracle's A_n mod p or None past the threshold, and p
-    proved prime by verify_prime or, in a range, a sieve prime the fold guards."""
-    # the linkage forces n = 3 (odd case) or 0 (even case) mod 4; else it is a bug
-    want = 3 if case is FormCase.ODD else 0
-    if n % 4 != want:
-        raise ConsistencyError(f"{case} witness n={n} for p={p} is not {want} mod 4")
+    """p's record, (n, case) = linked_index(p) and residue A_n mod p, after its
+    one check: exact, the oracle's A_n mod p or None past the threshold, equals
+    residue.  p is an odd prime, so n is 3 (odd case) or 0 (even case) mod 4."""
     if exact is not None and exact != residue:
         raise ConsistencyError(f"exact/modular mismatch at p={p}, n={n}: {exact} != {residue}")
     return WitnessRecord(

@@ -183,16 +183,8 @@ def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> list[Residue]:
     if p.p >= _P_LIMIT:
         raise ValueError(f"p={p.p} is not below 2^32, the limit of pairing checks")
     _check_case_linkage(n, p.p, case)
-    lo = n // 2 + 1
-    count = n - lo + 1
-    # the linkage plus p odd forces an even number of tail summands
-    assert count % 2 == 0, f"odd tail length {count} under case {case}"
-    invs = _inverse_range(lo, n, p.p)
-    q = p.p
-    return [
-        Residue((invs[k] + invs[count - 1 - k]) % q, p)
-        for k in range(count // 2)
-    ]
+    invs = _inverse_range(n // 2 + 1, n, p.p)
+    return [Residue((invs[k] + invs[~k]) % p.p, p) for k in range(len(invs) // 2)]
 
 
 def _check_case_linkage(n: int, p: int, case: FormCase) -> None:

@@ -612,15 +612,6 @@ def test_range_exact_check_catches_a_wrong_sweep(monkeypatch):
         verify_range(5, 3001)
 
 
-def test_witness_record_refuses_an_index_off_its_class_mod_4():
-    # the linkage forces n = 3 mod 4 in the odd case and 0 mod 4 in the even
-    # case, so no correct caller reaches this check: it is called directly
-    with pytest.raises(ConsistencyError, match="^odd witness n=8 for p=11 is not 3 mod 4$"):
-        engine._witness_record(11, 8, FormCase.ODD, 0, None)
-    with pytest.raises(ConsistencyError, match="^even witness n=7 for p=11 is not 0 mod 4$"):
-        engine._witness_record(11, 7, FormCase.EVEN, 0, 0)
-
-
 @pytest.mark.parametrize("width", [8192, 500])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_shards_starting_inside_the_exact_zone(monkeypatch, jobs, width):
@@ -802,8 +793,9 @@ def test_search_finds_hits_above_p_squared():
 )
 def test_search_stops_where_no_hit_can_follow(monkeypatch, p, nmax, want, most):
     # n is a hit only if floor(n/p) is 0 or a hit (Boyd), so the scan ends at
-    # p*(k+1) - 1 for its last hit k, however large nmax is; counted in
-    # modfield._mul steps, and a scan past the count fails at once
+    # p*(k+1) - 1 for its last hit k (p - 1 with none), however large nmax is;
+    # one modfield._mul step per n, so it takes exactly that many: a scan past
+    # the count fails at once, and one that stops early fails at the end
     calls = []
 
     def counting(*args):
@@ -813,6 +805,7 @@ def test_search_stops_where_no_hit_can_follow(monkeypatch, p, nmax, want, most):
 
     monkeypatch.setattr(engine, "_mul", counting)
     assert search_numerator_divisor(p, nmax) == want
+    assert len(calls) == most
 
 
 def test_search_takes_no_inverse(monkeypatch):
