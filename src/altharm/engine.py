@@ -23,9 +23,9 @@ from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, alternating_sweep, residue_of
 
-# Unused here; bench/spans.py patches both names on this module.
+# Unused here; bench/spans.py patches both names, and ROADMAP item 1 step A drops them.
 from .modfield import _inverse_range  # noqa: F401
-from .rationals import _merge  # noqa: F401
+_merge = None  # a placeholder nothing calls: rationals.merge_* read 0 with the old helper too
 
 # Exact cross-checks cover every witness index up to here, i.e. all
 # p <= 3001.  It stays put because it sets the exact_checked byte of each

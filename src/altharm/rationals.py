@@ -5,19 +5,19 @@ reduced-form invariants this package relies on: gcd(|num|, den) = 1,
 den >= 1, sign on the numerator, zero as 0/1.  The summation routines here
 are the slow, trusted oracle for everything the modular fast paths claim.
 
-A block of 1/k under 64 terms is summed in one loop with one gcd; a longer
-one is split in half (binary splitting) to keep operands near reduced size.
-A_n is the tail H_n - H_{n//2}, the sum over (n//2, n]: alternating_sweep
-chains it over ascending n, each step adding the terms that enter the tail
-and taking away those that leave it.  A verify shard's exact values come
-from one sweep, and alternating_exact is its one-index case.  The test
-oracles check all this against left-to-right signed Fraction accumulation.
+Each sum is a stdlib Fraction addition, with no private constructor: a block
+of 1/k under 64 terms is one loop and one gcd, a longer one is split in half
+(binary splitting) to keep operands near reduced size.  A_n is the tail
+H_n - H_{n//2}, the sum over (n//2, n]: alternating_sweep chains it over
+ascending n, each step adding the terms that enter the tail and taking away
+those that leave it.  A verify shard's exact values come from one sweep, and
+alternating_exact is its one-index case.  The test oracles check all this
+against left-to-right signed Fraction accumulation.
 """
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from collections.abc import Iterable, Iterator
-from math import gcd
 
 from .modfield import PrimeModulus, Residue
 
@@ -26,54 +26,34 @@ class NotPAdicIntegerError(ValueError):
     """Raised when mapping a/b into Z/pZ with p dividing b."""
 
 
-def _merge(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    # Add two reduced fractions by one formula: any common factor of the raw
-    # numerator and the lcm denominator divides g = gcd(d1, d2), so one small
-    # gcd finishes the reduction, a no-op when g = 1 (Knuth, TAOCP 4.5.1).
-    g = gcd(d1, d2)
-    d1g = d1 // g
-    t = n1 * (d2 // g) + n2 * d1g
-    g2 = gcd(t, g)
-    return t // g2, d1g * (d2 // g2)
-
-
-def _harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
-    """Sum of 1/k for k in lo..hi as a reduced (num, den) pair; 0/1 if lo > hi."""
+def _harmonic_sum(lo: int, hi: int) -> Fraction:
+    """Sum of 1/k for k in lo..hi, reduced; 0/1 if lo > hi."""
     if hi - lo < 63:  # fewer than 64 terms: one loop, one gcd
         n, d = 0, 1
         for k in range(lo, hi + 1):
             n, d = n * k + d, d * k
-        g = gcd(n, d)
-        return n // g, d // g
+        return Fraction(n, d)
     mid = (lo + hi) // 2
-    return _merge(*_harmonic_pair(lo, mid), *_harmonic_pair(mid + 1, hi))
-
-
-def _reduced(num: int, den: int) -> Fraction:
-    # a pair in lowest terms, den > 0, skips Fraction(num, den)'s second gcd;
-    # setting the slots is one path on 3.10-3.13 (_normalize=False left in 3.12)
-    x = object.__new__(Fraction)
-    x._numerator, x._denominator = num, den
-    return x
+    return _harmonic_sum(lo, mid) + _harmonic_sum(mid + 1, hi)
 
 
 def harmonic_exact(n: int) -> Fraction:
     """The harmonic sum 1 + 1/2 + ... + 1/n, reduced; n = 0 gives 0/1."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _reduced(*_harmonic_pair(1, n))
+    return _harmonic_sum(1, n)
 
 
 def alternating_sweep(ns: Iterable[int]) -> Iterator[Fraction]:
     """A_n, reduced, for each n of a nondecreasing ns; each step moves the tail (n//2, n]."""
-    num, den, prev = 0, 1, 0
+    a, prev = Fraction(0), 0
     for n in ns:
         if n < prev:
             raise ValueError(f"n must be nonnegative and nondecreasing, got {n} after {prev}")
-        num, den = _merge(num, den, *_harmonic_pair(max(prev, n // 2) + 1, n))
-        out, d = _harmonic_pair(prev // 2 + 1, min(prev, n // 2))
-        num, den = _merge(num, den, -out, d)
-        yield _reduced(num, den)
+        entering = _harmonic_sum(max(prev, n // 2) + 1, n)
+        leaving = _harmonic_sum(prev // 2 + 1, min(prev, n // 2))
+        a += entering - leaving
+        yield a
         prev = n
 
 
@@ -94,7 +74,7 @@ def tail_exact(lo: int, hi: int) -> Fraction:
         raise ValueError(f"lo must be positive, got {lo}")
     if lo > hi:
         raise ValueError(f"empty tail: lo={lo} > hi={hi}")
-    return _reduced(*_harmonic_pair(lo, hi))
+    return _harmonic_sum(lo, hi)
 
 
 def residue_of(x: Fraction, p: PrimeModulus) -> Residue:

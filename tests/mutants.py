@@ -38,8 +38,8 @@ MUTANTS = [
      "the 7p/10 cut read one past the cut the fold took"),
     ("engine.py", "if not rec.ok and alternating_mod(", "if False and alternating_mod(",
      "a failed range record is no longer rechecked by the tail span"),
-    ("rationals.py", "return t // g2, d1g * (d2 // g2)", "return t, d1g * d2",
-     "_merge leaves its sum unreduced"),
+    ("rationals.py", "_harmonic_sum(mid + 1, hi)", "_harmonic_sum(mid + 2, hi)",
+     "a split block of 64 terms or more skips the first term of its upper half"),
     ("rationals.py", "max(prev, n // 2) + 1, n)", "max(prev, n // 2) + 2, n)",
      "the sweep's entering tail starts one term late"),
     ("primes.py", "for a in _SMALL_PRIMES:", "for a in _SMALL_PRIMES[:-1]:",

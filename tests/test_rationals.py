@@ -9,7 +9,6 @@ import oracles
 from altharm import rationals
 from altharm.rationals import (
     NotPAdicIntegerError,
-    _merge,
     alternating_exact,
     alternating_sweep,
     format_decimal,
@@ -123,7 +122,7 @@ def test_sweep_matches_one_sum_per_index_and_the_stream_oracle(ns):
 
 # A step from m to n adds the terms entering the tail, (max(m, n//2), n],
 # and takes away those leaving it, (m//2, min(m, n//2)].  Both blocks take
-# both branches of _harmonic_pair, the one loop under 64 terms and the split
+# both branches of _harmonic_sum, the one loop under 64 terms and the split
 # in half from 64 up: _SIZES holds 2^k - 1, 2^k and 2^k + 1 terms up to
 # twice that threshold.
 _SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]
@@ -164,13 +163,13 @@ def test_sweep_steps_cover_every_block_size():
 def test_exact_sums_only_the_tail(monkeypatch):
     # alternating_exact(n) sums the n - n//2 terms of (n//2, n] and no term
     # below: H_n - H_{n//2} from 1 would sum 1.5 times as many
-    real, blocks = rationals._harmonic_pair, []
+    real, blocks = rationals._harmonic_sum, []
 
     def spy(lo, hi):
         blocks.append((lo, hi))
         return real(lo, hi)
 
-    monkeypatch.setattr(rationals, "_harmonic_pair", spy)
+    monkeypatch.setattr(rationals, "_harmonic_sum", spy)
     stream = [Fraction(0), *oracles.alternating_stream(1001)]
     for n in (1, 2, 7, 64, 1000, 1001):
         blocks.clear()
@@ -195,9 +194,8 @@ def test_sweep_rejects_negative_and_descending_indices(ns):
 
 
 def test_outputs_are_reduced():
-    # the sums wrap _merge's reduced pairs without a second gcd, so each must
-    # still be a reduced Fraction that equals, hashes and computes like one
-    # built by Fraction's own constructor
+    # each sum must be a reduced Fraction that equals, hashes and computes
+    # like one built by Fraction's own constructor from its two parts
     sweep = alternating_sweep(range(1, 200))
     for n, a in zip(range(1, 200), sweep):
         for x in (harmonic_exact(n), a, tail_exact(max(1, n // 3 + 1), n)):
@@ -233,27 +231,6 @@ def test_int_str_matches_str():
     finally:
         if get_limit:
             sys.set_int_max_str_digits(before)
-
-
-def test_merge_agrees_with_fraction_addition():
-    rng = random.Random(1234)
-    pairs = [
-        (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
-         Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
-        for _ in range(2000)
-    ]
-    # 0/1 on either side (a sweep's first block, an empty block), equal and
-    # coprime denominators, a sum that cancels to 0/1, and a shared factor
-    # that survives (1/6 + 1/3 = 1/2)
-    pairs += [
-        (Fraction(0), Fraction(7, 12)), (Fraction(-7, 12), Fraction(0)),
-        (Fraction(0), Fraction(0)), (Fraction(5, 12), Fraction(-1, 12)),
-        (Fraction(3, 35), Fraction(-4, 33)), (Fraction(1, 30), Fraction(-1, 30)),
-        (Fraction(5, 3), Fraction(-5, 3)), (Fraction(1, 6), Fraction(1, 3)),
-    ]
-    for a, b in pairs:
-        num, den = _merge(a.numerator, a.denominator, b.numerator, b.denominator)
-        assert (num, den) == ((a + b).numerator, (a + b).denominator)
 
 
 def test_residue_of_examples():
