@@ -262,7 +262,7 @@ def cmd_pair_check(args: argparse.Namespace) -> int:
     p = args.p
     n, case = linked_index(p)  # before the proof, so 2 and 3 read "inapplicable"
     defects = pairing_defect(n, PrimeModulus(p), case)  # the one primality proof
-    rows = [(p, k, n // 2 + k, n + 1 - k, r.value) for k, r in enumerate(defects, 1)]
+    rows = ((p, k, n // 2 + k, n + 1 - k, r.value) for k, r in enumerate(defects, 1))
     _row_writer(sys.stdout, args.format, ("p", "k", "a", "b", "residue"), _pair_human)(rows)
     all_zero = all(r.value == 0 for r in defects)
     print(

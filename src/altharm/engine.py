@@ -23,9 +23,9 @@ from .modfield import ProofInapplicableError  # noqa: F401  (exported from here)
 from .primes import is_prime, odd_primes_iter
 from .rationals import alternating_exact, alternating_sweep, residue_of
 
-# Unused here; bench/spans.py patches both names, and ROADMAP item 1 step A drops them.
-from .modfield import _inverse_range  # noqa: F401
-_merge = None  # a placeholder nothing calls: rationals.merge_* read 0 with the old helper too
+# Placeholders that nothing calls: bench/spans.py patches both names, and
+# ROADMAP item 1 step A drops them (rationals.merge_* read 0 with the old helper too)
+_inverse_range = _merge = None
 
 # Exact cross-checks cover every witness index up to here, i.e. all
 # p <= 3001.  It stays put because it sets the exact_checked byte of each

@@ -167,24 +167,20 @@ def harmonic_prefixes_mod(cuts: Sequence[int], moduli: Sequence[int]) -> list[tu
     return out
 
 
-def _inverse_range(lo: int, hi: int, p: int) -> list[int]:
-    """Inverses of lo..hi mod p; requires 0 < lo and hi < p."""
-    return [pow(k, -1, p) for k in range(lo, hi + 1)]
-
-
 def pairing_defect(n: int, p: PrimeModulus, case: FormCase) -> list[Residue]:
-    """Per-pair residues inv(lo+k-1) + inv(hi-k+1) mod p over the tail of A_n.
-
-    With lo = floor(n/2)+1 and hi = n, the case linkage makes each pair of
-    arguments sum to exactly p, so every returned residue should be zero;
-    the tail length is even, so the pairing covers all summands.  p must be
-    below 2^32: the result holds about p/3 residues.
+    """Per-pair residues inv(lo+k) + inv(n+1-k) mod p, k = 1 .. (n-lo)/2, over
+    the tail of A_n, lo = floor(n/2).  The case linkage makes each pair of
+    arguments sum to exactly p, so every returned residue should be zero; the
+    tail length is even, so the pairing covers all summands, each inverted
+    once.  p must be below 2^32: the result holds about p/6 residues, and no
+    table of inverses is kept.
     """
     if p.p >= _P_LIMIT:
         raise ValueError(f"p={p.p} is not below 2^32, the limit of pairing checks")
     _check_case_linkage(n, p.p, case)
-    invs = _inverse_range(n // 2 + 1, n, p.p)
-    return [Residue((invs[k] + invs[~k]) % p.p, p) for k in range(len(invs) // 2)]
+    q, lo = p.p, n // 2
+    return [Residue((pow(lo + k, -1, q) + pow(n + 1 - k, -1, q)) % q, p)
+            for k in range(1, (n - lo) // 2 + 1)]
 
 
 def _check_case_linkage(n: int, p: int, case: FormCase) -> None:

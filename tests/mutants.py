@@ -52,6 +52,8 @@ MUTANTS = [
      "the tail span starts one term late above n = 5000"),
     ("engine.py", "stop = p * (k + 1) - 1", "stop = p * (k + 1) - 2",
      "search stops one candidate before Boyd's lemma allows"),
+    ("modfield.py", "pow(n + 1 - k, -1, q)", "pow(n - k, -1, q)",
+     "each pair's upper argument one short of p minus the lower: no pair cancels"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -198,7 +199,7 @@ def test_verify_inverted_range():
          "--jobs must be positive"),
         # a prime past verify_prime's limit: refused before the tail
         (["witness", "1000000000039"], "2^32"),
-        # pairing_defect would hold about p/3 inverses: refused before any work
+        # pairing_defect would hold about p/6 residues: refused before any work
         (["pair-check", "1000000000039"], "2^32"),
     ],
     ids=["exact-digits", "exact-n", "search-p", "search-nmax", "search-pseudoprime",
@@ -415,6 +416,27 @@ def test_pair_check():
     assert "pair (3,4)" in r.stdout
     r = run_cli("pair-check", "5", "--format", "csv")
     assert r.stdout.splitlines() == ["p,k,a,b,residue", "5,1,2,3,0"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as on Linux")
+def test_pair_check_fits_in_112_mib():
+    # the pairs' inverses are taken in place: a table of all p/3 tail inverses
+    # needs about 144 MiB of address space at p = 2000003, this code about
+    # 85 MiB, so the limit fails the table and the bytes must not change
+    import resource
+
+    limit = 112 << 20
+    r = subprocess.run(
+        [sys.executable, "-m", "altharm", "pair-check", "2000003", "--format", "csv"],
+        capture_output=True,
+        env=oracles.child_env(),
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == (
+        "0d9fdd3ea90c4c193b209b30a05fe04815968ae0821bf42fbb64a70f595feba3"
+    )
 
 
 def test_pair_check_proves_primality_once(monkeypatch, capsys):
