@@ -153,6 +153,10 @@ def _check_last_line(path: str, size: int, fmt: str) -> None:
             f"--out {path!r} ends in a partial line {lines[-1]!r}; "
             "remove it or choose another file"
         )
+    if len(lines) == 2 and size > 256:  # the last line starts before the bytes read
+        raise ValueError(
+            f"--out {path!r} ends in a line longer than any row; remove it or choose another file"
+        )
     last = lines[-2]  # the file is not empty and ends in a newline
     if not last:
         raise ValueError(f"--out {path!r} ends in an empty line; remove it or choose another file")

@@ -54,6 +54,8 @@ MUTANTS = [
      "search stops one candidate before Boyd's lemma allows"),
     ("modfield.py", "pow(n + 1 - k, -1, q)", "pow(n - k, -1, q)",
      "each pair's upper argument one short of p minus the lower: no pair cancels"),
+    ("cli.py", "if len(lines) == 2 and size > 256:", "if False and size > 256:",
+     "verify --out judges a final line longer than the bytes it reads by a fragment"),
 ]
 
 

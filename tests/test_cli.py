@@ -152,10 +152,12 @@ def test_verify_csv_header():
 
 
 def test_verify_jobs_byte_identical():
-    base = run_cli("verify", "--pmin", "3", "--pmax", "3000", "--quiet", "--format", "jsonl")
+    # three shards, so jobs 2 and 4 fork workers that deal them
+    base = run_cli("verify", "--pmin", "3", "--pmax", "20000", "--quiet", "--format", "jsonl")
+    assert base.stdout.count("\n") == 2260
     for jobs in ("2", "4"):
         r = run_cli(
-            "verify", "--pmin", "3", "--pmax", "3000", "--quiet",
+            "verify", "--pmin", "3", "--pmax", "20000", "--quiet",
             "--format", "jsonl", "--jobs", jobs,
         )
         assert r.stdout == base.stdout
@@ -328,6 +330,25 @@ def test_verify_out_refuses_a_final_empty_line(tmp_path, fmt):
             "remove it or choose another file"
         ]
         assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
+def test_verify_out_refuses_a_final_line_longer_than_any_row(tmp_path, fmt):
+    # the format is read from the file's last 256 bytes, which here hold only
+    # the tail of a jsonl line: it must not pass as csv rows
+    out = tmp_path / "records"
+    before = b'{"p":5,"note":"' + b"0" * 282 + b'"}\n'
+    assert len(before) == 300
+    out.write_bytes(before)
+    r = run_cli("verify", "--pmin", "7", "--pmax", "11", "--quiet", "--format", fmt,
+                "--out", str(out))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"altharm: error: --out {str(out)!r} ends in a line longer than any row; "
+        "remove it or choose another file"
+    ]
+    assert out.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -698,3 +719,54 @@ _STDOUT = {
 def test_stdout_bytes_pinned(capsys, command, fmt):
     assert cli.main([*command.split(), "--format", fmt]) == 0
     assert capsys.readouterr().out == _STDOUT[command, fmt]
+
+
+# stdout pinned by sha256: the record stream of a range past the benchmark's
+# 10^5, in jsonl and csv, of 3..10^6 (about 4 s) and of 10^6..1010000, where the
+# range kernel's spans are longest, then exact (a 43000-digit numerator, and a
+# 5000-digit expansion), search, and witness on each side of the exact zone and
+# past 10^6, pair-check's rows at 3011 and, in csv, at 1000003, and the human
+# format of a range; a change to the range kernel, the exact sums, their
+# decimal conversion, the pairing check or the row writers must leave these
+# bytes alone.  Keys are (argv, extra environment).
+_RANGE = "verify --pmin 3 --pmax 200000 --jobs 2 --quiet"
+_SHA256 = {
+    (_RANGE, ()): "4db9a702ee875ac3bc112f921e26e6f2fc7f1ce07247c7f510bcad9fc03ead12",
+    # an unbuffered stdout makes every write a syscall, and more workers deal
+    # the shards differently; neither may change a byte
+    (_RANGE + " --jobs 4", (("PYTHONUNBUFFERED", "1"),)):
+        "4db9a702ee875ac3bc112f921e26e6f2fc7f1ce07247c7f510bcad9fc03ead12",
+    (_RANGE + " --format csv", ()):
+        "1fd5f6d9beb520ef9fe6fce5e720419c34b30dde1a76eafce072662356e130a4",
+    ("verify --pmin 3 --pmax 1000000 --jobs 2 --quiet", ()):
+        "bc2d33fae79a2c70f9c4d0ea704d3738f81807dfe3c2d0075470faaca8d17cf1",
+    ("verify --pmin 1000000 --pmax 1010000 --jobs 1 --quiet", ()):
+        "cfb1da60943c078fa67b518f97437d7ba1f705a84e08786707320f300113090b",
+    ("exact 100000", ()): "17f34b183000dd778306ad9395ddcb21659760cae5eb3c89fb1ba0eaba660b79",
+    ("exact 3000 --digits 5000", ()):
+        "7203c0da65880b270c0fe971dcd3597b2f991b64fbb80fde127072c6f4229760",
+    ("search 7 --nmax 100000", ()):
+        "78ff0de7f3e0d746a9a9322a88593e5359a88b16115fd97e848e033c0b92d39b",
+    ("witness 5", ()): "7afeb2d98bc9204ab9423258b19470c181fde983f79c0a5d390c85f071c8cf7f",
+    ("witness 3001", ()): "de912fb243ba755ca6efb73ced921f932401fe11a44c0db7c952cbceeeb809c8",
+    ("witness 3011", ()): "869ce9633f3f760087105d47fc28783daa2f16870c1898c60409fa406f12a6b3",
+    ("witness 1000003", ()): "1c12bc735b839ed7d53023fc0b55a4f5d2f8b89c999ef1f41bfb45c932954054",
+    ("pair-check 3011", ()): "ed302985fb0b1e3548d6f32cb69f8504c93a02c507da0dadbfa725f8d2cdc6db",
+    ("pair-check 1000003 --format csv", ()):
+        "16c87b72ef85e3c66e8dbe647120e9051f0869f823aca8675c75a4fb3f3f57e1",
+    ("verify --pmin 3 --pmax 3000 --format human --quiet", ()):
+        "715a90c6685fbecab3e81116d590b61ccdccafcfed9a66d625f241191f786aa5",
+}
+
+
+@pytest.mark.parametrize(
+    "command,env", list(_SHA256),
+    ids=[" ".join([*(f"{k}={v}" for k, v in e), c]).replace(" ", "_") for c, e in _SHA256],
+)
+def test_stdout_sha256_pinned(command, env):
+    r = subprocess.run(
+        [sys.executable, "-m", "altharm", *command.split()],
+        capture_output=True, env={**oracles.child_env(), **dict(env)}, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == _SHA256[command, env]
