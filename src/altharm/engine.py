@@ -239,6 +239,8 @@ def verify_range(
     if given, follows each shard's records with (lo, hi, record_count, seconds).
     """
     check_range(pmin, pmax)
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     start = time.perf_counter()
     skipped = [(3, "proof inapplicable")] if pmin <= 3 <= pmax else []
     verified = failures = 0

@@ -56,6 +56,11 @@ MUTANTS = [
      "each pair's upper argument one short of p minus the lower: no pair cancels"),
     ("cli.py", "if len(lines) == 2 and size > 256:", "if False and size > 256:",
      "verify --out judges a final line longer than the bytes it reads by a fragment"),
+    ("engine.py", "pipe.close()", "pass",
+     "each forked worker's pipe is left for the garbage collector to close"),
+    ("cli.py", 'open(args.out, "a", encoding="ascii")',
+     'nullcontext(open(args.out, "a", encoding="ascii"))',
+     "the verify --out file is left for the garbage collector to close"),
 ]
 
 

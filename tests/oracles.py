@@ -137,10 +137,15 @@ def numerator_divisor_hits_bruteforce(p: int, nmax: int) -> list:
 def child_env() -> dict:
     """This environment, with the directory holding the altharm package this
     process would import first on PYTHONPATH, so a `python -m altharm` child
-    finds the same package, installed or not.  Locating it imports nothing."""
+    finds the same package, installed or not.  Locating it imports nothing.
+    PYTHONWARNINGS gains error::ResourceWarning, so a file or pipe the child
+    leaves for the garbage collector prints a ResourceWarning to its stderr."""
     package = importlib.util.find_spec("altharm").submodule_search_locations[0]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(package), env.get("PYTHONPATH")])
+    )
+    env["PYTHONWARNINGS"] = ",".join(
+        filter(None, [env.get("PYTHONWARNINGS"), "error::ResourceWarning"])
     )
     return env

@@ -10,25 +10,45 @@ import time
 import pytest
 
 import oracles
+import altharm
 from altharm import cli, engine, modfield
 from altharm.engine import FormCase, WitnessRecord
 from altharm.rationals import alternating_exact
 
 
 def run_cli(*args):
-    return subprocess.run(
+    r = subprocess.run(
         [sys.executable, "-m", "altharm", *args],
         capture_output=True,
         text=True,
         env=oracles.child_env(),
         timeout=300,
     )
+    assert "ResourceWarning" not in r.stderr, r.stderr  # see oracles.child_env
+    return r
 
 
 def test_exact_basic():
     r = run_cli("exact", "7")
     assert r.returncode == 0
     assert r.stdout == "319/420\n"
+
+
+def test_child_finds_the_package_without_pythonpath(monkeypatch, tmp_path):
+    # README's "no install needed": with no PYTHONPATH to inherit and a cwd
+    # that holds no package, child_env alone leads a child to this package
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    env = oracles.child_env()
+    where = subprocess.run(
+        [sys.executable, "-c", "import altharm; print(altharm.__file__)"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert where.stdout == f"{altharm.__file__}\n", where.stderr
+    r = subprocess.run(
+        [sys.executable, "-m", "altharm", "exact", "7"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "319/420\n", "")
 
 
 def test_exact_with_digits():
@@ -769,4 +789,5 @@ def test_stdout_sha256_pinned(command, env):
         capture_output=True, env={**oracles.child_env(), **dict(env)}, timeout=300,
     )
     assert r.returncode == 0, r.stderr
+    assert b"ResourceWarning" not in r.stderr, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == _SHA256[command, env]

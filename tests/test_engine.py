@@ -687,6 +687,15 @@ def test_verify_range_caps_workers_at_the_affinity_mask(monkeypatch, forks):
     assert forks == [] and recs == base
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_verify_range_rejects_jobs_below_one(forks, jobs):
+    # -1 does not mean every CPU (joblib's reading): the call fails before a shard runs
+    recs = []
+    with pytest.raises(ValueError, match=f"^jobs must be positive, got {jobs}$"):
+        verify_range(5, 100, jobs=jobs, record_sink=recs.append)
+    assert recs == [] and forks == []
+
+
 @pytest.mark.parametrize("failing", ["record_sink", "progress"])
 def test_verify_range_stops_every_worker_on_error(monkeypatch, forks, failing):
     # a sink or progress callback that fails (say, on a closed pipe) reads no
